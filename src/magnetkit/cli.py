@@ -344,7 +344,6 @@ def build_parser():
     p.add_argument("--modalities", help="comma-separated modality counts")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--features", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("graph-stats", help="patient-graph diagnostics")

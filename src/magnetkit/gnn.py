@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fusion as fu
 from . import numerics as nm
@@ -16,25 +17,28 @@ class ModelError(ValueError):
 
 @dataclass
 class GraphView:
-    """Precomputed sparse operators for one graph: a row selector gathering
-    per-edge source embeddings and a per-target averaging matrix. Nodes with
-    empty neighborhoods aggregate to the zero vector."""
+    """Node-level operators for one graph: the row-normalised adjacency and
+    each node's mean incident edge feature. A node with an empty
+    neighbourhood has a zero row in both, so it aggregates to zero."""
 
     n_nodes: int
-    gather: object       # E x N sparse
-    average: object      # N x E sparse
-    edge_feats: np.ndarray  # E x 1
+    mean_adj: object        # N x N sparse, rows sum to 1 (0 if isolated)
+    edge_mean: np.ndarray   # N x 1
 
     @classmethod
-    def from_graph(cls, g, edge_features_on=True):
+    def from_graph(cls, g, edge_features_on=True, dtype=nm.DEFAULT_DTYPE):
         src, dst, feat = g.directed()
-        if not edge_features_on:
-            feat = np.zeros_like(feat)
+        n = g.n_nodes
+        deg = np.bincount(dst, minlength=n)
+        inv = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
+        edge_mean = np.zeros((n, 1), dtype=dtype)
+        if edge_features_on:
+            edge_mean[:, 0] = np.bincount(dst, weights=feat, minlength=n) * inv
         return cls(
-            n_nodes=g.n_nodes,
-            gather=nm.row_selector_matrix(g.n_nodes, src),
-            average=nm.edge_average_matrix(g.n_nodes, dst),
-            edge_feats=feat.reshape(-1, 1),
+            n_nodes=n,
+            mean_adj=sp.csr_matrix((inv[dst], (dst, src)), shape=(n, n),
+                                   dtype=dtype),
+            edge_mean=edge_mean,
         )
 
 
@@ -58,13 +62,17 @@ def init_decoder_params(graph, d_in, hidden, n_classes, rng, prefix="dec"):
 
 
 def sage_layer(z, view, params):
-    """One GraphSAGE step: ReLU(W_root z_u + W_agg Mean(W_msg [z_v || e_uv]))."""
+    """One GraphSAGE step: ReLU(z W_root + ([A z || e] W_msg) W_agg).
+
+    The mean of the messages W_msg [z_v || e_uv] over u's neighbours is
+    linear, so it equals W_msg applied to the mean neighbour embedding
+    (A z, A row-normalised) and the mean edge feature e.
+    """
     if z.shape[0] != view.n_nodes:
         raise ModelError("embedding row count does not match graph")
-    gathered = nm.sparse_matmul_const(view.gather, z)
-    msgs_in = nm.concat_last_dim([gathered, nm.constant(view.edge_feats)])
-    msgs = nm.matmul(msgs_in, params["w_msg"])
-    agg = nm.matmul(nm.sparse_matmul_const(view.average, msgs), params["w_agg"])
+    neigh = nm.concat_last_dim([nm.sparse_matmul_const(view.mean_adj, z),
+                                nm.constant(view.edge_mean)])
+    agg = nm.matmul(nm.matmul(neigh, params["w_msg"]), params["w_agg"])
     root = nm.matmul(z, params["w_root"])
     return nm.relu(nm.add(root, agg))
 
@@ -72,11 +80,6 @@ def sage_layer(z, view, params):
 def decode(z, dec_params):
     h = nm.relu(nm.add(nm.matmul(z, dec_params["w1"]), dec_params["b1"]))
     return nm.add(nm.matmul(h, dec_params["w2"]), dec_params["b2"])
-
-
-def decoder_only_forward(z, dec_params):
-    """Ablation path: decoder applied directly to the fused embedding."""
-    return decode(z, dec_params)
 
 
 @dataclass

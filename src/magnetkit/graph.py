@@ -97,26 +97,6 @@ def pairwise_similarity(ds):
     return SimilarityMatrix(values=values, valid=valid)
 
 
-def pairwise_similarity_concat(ds):
-    """Alternative aggregation: cosine over the concatenated shared features."""
-    n = ds.n_patients
-    values = np.zeros((n, n))
-    valid = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        for v in range(u, n):
-            shared = np.where((ds.mask[u] == 1) & (ds.mask[v] == 1))[0]
-            if len(shared) == 0:
-                continue
-            a = np.concatenate([ds.modalities[i][u] for i in shared])
-            b = np.concatenate([ds.modalities[i][v] for i in shared])
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            cos = float(a @ b / (na * nb)) if na > 0 and nb > 0 else 0.0
-            values[u, v] = values[v, u] = cos
-            valid[u, v] = valid[v, u] = True
-    np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(values=values, valid=valid)
-
-
 def quantile_threshold(sims_sorted, rate):
     """Nearest-rank quantile of an ascending-sorted array; rate 0 keeps all."""
     n = len(sims_sorted)

@@ -10,7 +10,6 @@ precision by default; float32 is opt-in for the scalability benchmark.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 DEFAULT_DTYPE = np.float64
 
@@ -66,10 +65,6 @@ def parameter(data):
     return Tensor(np.array(data, copy=True), requires_grad=True, op="param")
 
 
-class GradientMap(dict):
-    """Per-parameter gradients keyed by registry name."""
-
-
 class ComputeGraph:
     """Named registry of leaf parameters plus the backward driver.
 
@@ -103,7 +98,7 @@ class ComputeGraph:
             if node.grad is None or node._backward is None:
                 continue
             node._backward(node.grad)
-        grads = GradientMap()
+        grads = {}
         for name, p in self.params.items():
             if p.grad is None:
                 grads[name] = np.zeros_like(p.data)
@@ -440,26 +435,3 @@ def grad_check(build_loss, param_values, eps=1e-5):
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
             max_err = max(max_err, err)
     return max_err
-
-
-def edge_average_matrix(n_nodes, dst, dtype=DEFAULT_DTYPE):
-    """Sparse (N x E) matrix averaging per-edge rows into their target node.
-
-    Nodes with no incoming edges get an all-zero row (empty neighborhood
-    aggregates to the zero vector).
-    """
-    n_edges = len(dst)
-    if n_edges == 0:
-        return sp.csr_matrix((n_nodes, 0), dtype=dtype)
-    counts = np.bincount(dst, minlength=n_nodes).astype(dtype)
-    vals = 1.0 / counts[dst]
-    return sp.csr_matrix((vals, (dst, np.arange(n_edges))),
-                         shape=(n_nodes, n_edges), dtype=dtype)
-
-
-def row_selector_matrix(n_rows, idx, dtype=DEFAULT_DTYPE):
-    """Sparse (len(idx) x n_rows) selector for gathering rows."""
-    idx = np.asarray(idx, dtype=np.int64)
-    return sp.csr_matrix((np.ones(len(idx), dtype=dtype),
-                          (np.arange(len(idx)), idx)),
-                         shape=(len(idx), n_rows), dtype=dtype)

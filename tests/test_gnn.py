@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnetkit import gnn
 from magnetkit import graph as gr
@@ -7,7 +8,7 @@ from magnetkit import numerics as nm
 from magnetkit.trainer import RunConfig
 
 
-def make_view(edges, sims=None, n=None):
+def make_view(edges, sims=None, n=None, **kw):
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = n if n is not None else int(edges.max()) + 1
     g = gr.PatientGraph(n_nodes=n, edges=edges,
@@ -15,7 +16,7 @@ def make_view(edges, sims=None, n=None):
                                       if sims is not None
                                       else np.zeros(len(edges))),
                         reconnection=np.zeros(len(edges), dtype=bool))
-    return gnn.GraphView.from_graph(g)
+    return gnn.GraphView.from_graph(g, **kw)
 
 
 def make_sage(values):
@@ -88,6 +89,38 @@ def test_sage_empty_neighborhood_aggregates_zero():
     assert np.allclose(out.data[2], np.maximum(z[2] @ vals["w_root"], 0.0))
 
 
+@st.composite
+def sage_cases(draw):
+    """A random simple graph (isolated nodes included) with layer weights."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    sims = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(edges),
+                         max_size=len(edges)))
+    n_iso = draw(st.integers(0, 2))
+    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(n + n_iso, d_in))
+    vals = {"w_root": rng.normal(size=(d_in, d_out)),
+            "w_msg": rng.normal(size=(d_in + 1, d_out)),
+            "w_agg": rng.normal(size=(d_out, d_out))}
+    return n + n_iso, edges, sims, z, vals
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sage_cases(), edge_features_on=st.booleans())
+def test_sage_layer_matches_brute_force_property(case, edge_features_on):
+    n, edges, sims, z, vals = case
+    view = make_view(edges, sims, n=n, edge_features_on=edge_features_on)
+    _, params = make_sage(vals)
+    out = gnn.sage_layer(nm.constant(z), view, params)
+    ref_sims = sims if edge_features_on else np.zeros(len(edges))
+    ref = brute_sage(z, edges, ref_sims, vals["w_root"], vals["w_msg"],
+                     vals["w_agg"])
+    assert np.allclose(out.data, ref, rtol=0.0, atol=1e-10)
+
+
 def test_sage_gradient():
     rng = np.random.default_rng(3)
     z0 = rng.normal(size=(4, 2))
@@ -111,9 +144,9 @@ def test_edge_features_off_zeroes_feature_column():
                         similarities=np.array([0.7]),
                         reconnection=np.array([False]))
     view = gnn.GraphView.from_graph(g, edge_features_on=False)
-    assert np.all(view.edge_feats == 0.0)
+    assert np.all(view.edge_mean == 0.0)
     view_on = gnn.GraphView.from_graph(g)
-    assert np.all(view_on.edge_feats == 0.7)
+    assert np.all(view_on.edge_mean == 0.7)
 
 
 def test_decoder_shapes_and_zero_weights_uniform():
@@ -154,9 +187,21 @@ def test_forward_shapes():
 def test_decoder_only_equals_zero_layer_forward():
     config, params, mods, mask, view = fixture_model(layers=0)
     logits, state, z, z_final = gnn.forward(params, mods, mask, view, config)
-    direct = gnn.decoder_only_forward(z, params.decoder)
+    direct = gnn.decode(z, params.decoder)
     assert np.array_equal(logits.data, direct.data)
     assert z_final is z
+
+
+def test_f32_forward_returns_float32_logits():
+    config, params, mods, mask, _ = fixture_model(precision="f32")
+    for p in params.graph.params.values():
+        p.data = p.data.astype(np.float32)
+    view = make_view([(0, 1), (1, 2), (3, 4)], [0.2, -0.4, 0.9], n=6,
+                     dtype=config.dtype)
+    logits, _, _, z_final = gnn.forward(
+        params, [x.astype(np.float32) for x in mods], mask, view, config)
+    assert z_final.data.dtype == np.float32
+    assert logits.data.dtype == np.float32
 
 
 def test_forward_missingness_independence_bitwise():

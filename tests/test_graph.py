@@ -241,11 +241,3 @@ def test_degree_stats_and_export(tmp_path):
     assert lines[0] == "u,v,similarity,tag"
     assert lines[1] == "0,1,0.500000,shared"
     assert lines[2] == "0,2,0.250000,reconnection"
-
-
-def test_concat_similarity_agrees_on_single_modality():
-    rng = np.random.default_rng(4)
-    ds = make_ds(rng, n=6, m=1, mask=np.ones((6, 1), dtype=int))
-    a = gr.pairwise_similarity(ds)
-    b = gr.pairwise_similarity_concat(ds)
-    assert np.allclose(a.values, b.values, atol=1e-12)

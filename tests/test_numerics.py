@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from magnetkit import gnn
+from magnetkit import graph as gr
 from magnetkit import numerics as nm
 
 
@@ -218,15 +221,27 @@ def test_composite_gradients_match_finite_differences(seed):
 
 
 def test_sparse_matmul_and_selectors():
-    sel = nm.row_selector_matrix(4, [2, 0, 2])
-    x = nm.constant(np.arange(8.0).reshape(4, 2))
-    out = nm.sparse_matmul_const(sel, x)
-    assert np.array_equal(out.data, x.data[[2, 0, 2]])
+    mat = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, -1.0]]))
+    g = nm.ComputeGraph()
+    x = g.add_parameter("x", np.arange(6.0).reshape(3, 2))
+    out = nm.sparse_matmul_const(mat, x)
+    assert np.array_equal(out.data, mat.toarray() @ x.data)
+    w = np.array([[1.0, 2.0], [3.0, -1.0]])
+    grads = g.backward(nm.sum_all(nm.mul(out, nm.constant(w))))
+    assert np.allclose(grads["x"], mat.toarray().T @ w)
 
-    avg = nm.edge_average_matrix(3, np.array([0, 0, 2]))
-    msgs = nm.constant(np.array([[2.0], [4.0], [6.0]]))
-    agg = nm.sparse_matmul_const(avg, msgs)
-    assert np.allclose(agg.data, [[3.0], [0.0], [6.0]])  # node 1 has no edges
+    # path 0-1-2 plus isolated node 3: rows average the neighbours, node 3
+    # gets a zero row in both operators
+    graph = gr.PatientGraph(n_nodes=4, edges=np.array([[0, 1], [1, 2]]),
+                            similarities=np.array([0.2, 0.6]),
+                            reconnection=np.zeros(2, dtype=bool))
+    view = gnn.GraphView.from_graph(graph)
+    assert np.allclose(view.mean_adj.toarray(),
+                       [[0, 1, 0, 0], [0.5, 0, 0.5, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+    assert np.allclose(view.edge_mean[:, 0], [0.2, 0.4, 0.6, 0.0])
+    z = nm.constant(np.arange(8.0).reshape(4, 2))
+    agg = nm.sparse_matmul_const(view.mean_adj, z)
+    assert np.allclose(agg.data, [[2, 3], [2, 3], [2, 3], [0, 0]])
 
 
 def test_checked_creation_rejects_nonfinite():
