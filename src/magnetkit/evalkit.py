@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 class MetricError(ValueError):
@@ -103,46 +104,35 @@ def cluster_metrics(z, labels):
     index, both with Euclidean distances."""
     z = np.asarray(z, dtype=float)
     labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes, own = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise MetricError("need at least 2 classes")
-    diff = z[:, None, :] - z[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-
+    rows = np.arange(len(z))
+    onehot = (own[:, None] == np.arange(len(classes))).astype(float)
+    size = onehot.sum(axis=0)
+    # summed distance from each point to every class, N x K
+    class_dist = cdist(z, z) @ onehot
+    n_own = size[own]
+    a = class_dist[rows, own] / np.maximum(n_own - 1, 1)
+    mean_dist = class_dist / size
+    mean_dist[rows, own] = np.inf
+    b = mean_dist.min(axis=1)
+    denom = np.maximum(a, b)
+    scored = (n_own > 1) & (denom > 0)
     sil = np.zeros(len(z))
-    for idx in range(len(z)):
-        own = labels == labels[idx]
-        n_own = own.sum()
-        if n_own <= 1:
-            sil[idx] = 0.0
-            continue
-        a = dist[idx, own].sum() / (n_own - 1)
-        b = np.inf
-        for c in classes:
-            if c == labels[idx]:
-                continue
-            other = labels == c
-            b = min(b, dist[idx, other].mean())
-        denom = max(a, b)
-        sil[idx] = (b - a) / denom if denom > 0 else 0.0
+    sil[scored] = (b[scored] - a[scored]) / denom[scored]
     silhouette = float(sil.mean())
 
-    centroids = np.stack([z[labels == c].mean(axis=0) for c in classes])
-    scatter = np.array([
-        np.sqrt(((z[labels == c] - centroids[k]) ** 2).sum(axis=1)).mean()
-        for k, c in enumerate(classes)])
-    k = len(classes)
-    db_terms = np.zeros(k)
-    for i in range(k):
-        worst = 0.0
-        for j in range(k):
-            if i == j:
-                continue
-            sep = np.linalg.norm(centroids[i] - centroids[j])
-            ratio = (scatter[i] + scatter[j]) / sep if sep > 0 else np.inf
-            worst = max(worst, ratio)
-        db_terms[i] = worst
-    return {"silhouette": silhouette, "davies_bouldin": float(db_terms.mean())}
+    centroids = np.stack([z[own == k].mean(axis=0) for k in range(len(classes))])
+    scatter = np.bincount(
+        own, weights=np.linalg.norm(z - centroids[own], axis=1)) / size
+    sep = cdist(centroids, centroids)
+    spread = scatter[:, None] + scatter[None, :]
+    ratio = np.full_like(sep, np.inf)
+    np.divide(spread, sep, out=ratio, where=sep > 0)
+    np.fill_diagonal(ratio, 0.0)
+    return {"silhouette": silhouette,
+            "davies_bouldin": float(ratio.max(axis=1).mean())}
 
 
 def full_bundle(y_true, y_pred, probs, z, n_classes):

@@ -5,7 +5,7 @@ structure analytics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,32 +30,18 @@ class PatientGraph:
     similarities: np.ndarray     # E floats
     reconnection: np.ndarray     # E bools
     split_tags: np.ndarray | None = None
-    _adj: list = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.edges):
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            if np.any(u == v):
+            if np.any(self.edges[:, 0] == self.edges[:, 1]):
                 raise GraphError("self-loop")
-            keys = set(map(tuple, self.edges.tolist()))
-            if len(keys) != len(self.edges):
+            # sorted on both columns, equal rows are adjacent
+            rows = self.edges[np.lexsort(self.edges.T)]
+            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
                 raise GraphError("duplicate edge")
 
-    def neighbors(self, u):
-        if self._adj is None:
-            adj = [[] for _ in range(self.n_nodes)]
-            for a, b in self.edges:
-                adj[a].append(b)
-                adj[b].append(a)
-            self._adj = adj
-        return self._adj[u]
-
     def degrees(self):
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
     def directed(self):
         """(src, dst, feat) arrays with each undirected edge as two messages."""
@@ -97,14 +83,40 @@ def pairwise_similarity(ds):
     return SimilarityMatrix(values=values, valid=valid)
 
 
-def quantile_threshold(sims_sorted, rate):
-    """Nearest-rank quantile of an ascending-sorted array; rate 0 keeps all."""
-    n = len(sims_sorted)
+def quantile_threshold(sims, rate):
+    """Nearest-rank quantile of an unsorted array; rate 0 keeps all."""
+    n = len(sims)
     if n == 0 or rate <= 0.0:
         return -np.inf
     rank = math.ceil(rate * n)
     rank = min(max(rank, 1), n)
-    return sims_sorted[rank - 1]
+    return np.partition(sims, rank - 1)[rank - 1]
+
+
+def _reconnect(edges, similarities, reconnection, sims, nodes, allowed=None):
+    """Append an edge from each of `nodes` to its best valid neighbor.
+
+    The neighbor is a masked argmax over the node's row of `sims.values`:
+    valid pairs only, never the node itself, and only `allowed` nodes when
+    given. argmax takes the first maximum, so ties go to the lowest index.
+    The nodes have no edges yet, so a new pair can only repeat another new
+    pair; repeats keep their first occurrence in ascending node order.
+    Returns the extended (edges, similarities, reconnection) and the nodes
+    that had no candidate.
+    """
+    cand = sims.valid[nodes]
+    if allowed is not None:
+        cand = cand & allowed
+    cand[np.arange(len(nodes)), nodes] = False
+    found = cand.any(axis=1)
+    best = np.where(cand, sims.values[nodes], -np.inf).argmax(axis=1)
+    pairs = np.sort(np.stack([nodes[found], best[found]], axis=1), axis=1)
+    _, first = np.unique(pairs, axis=0, return_index=True)
+    pairs = pairs[np.sort(first)]
+    return (np.concatenate([edges, pairs]),
+            np.concatenate([similarities, sims.values[pairs[:, 0], pairs[:, 1]]]),
+            np.concatenate([reconnection, np.ones(len(pairs), dtype=bool)]),
+            nodes[~found])
 
 
 def build_graph(ds, sims, sparsity_rate):
@@ -119,48 +131,16 @@ def build_graph(ds, sims, sparsity_rate):
     cand = sims.valid[iu, iv]
     cu, cv = iu[cand], iv[cand]
     cs = sims.values[cu, cv]
-    beta = quantile_threshold(np.sort(cs, kind="stable"), sparsity_rate)
-    keep = cs > beta
-    edges = [(int(a), int(b)) for a, b in zip(cu[keep], cv[keep])]
-    svals = list(cs[keep])
-    recon = [False] * len(edges)
-
-    deg = np.zeros(n, dtype=np.int64)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    edge_set = set(edges)
-    for u in np.where(deg == 0)[0]:
-        best = _best_valid_neighbor(sims, u, n)
-        if best is None:
-            raise GraphError(f"node {u} has no valid neighbor to reconnect to")
-        a, b = min(u, best), max(u, best)
-        if (a, b) in edge_set:
-            continue
-        edge_set.add((a, b))
-        edges.append((a, b))
-        svals.append(float(sims.values[a, b]))
-        recon.append(True)
-        deg[a] += 1
-        deg[b] += 1
-
-    edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return PatientGraph(n_nodes=n, edges=edges_arr,
-                        similarities=np.array(svals),
-                        reconnection=np.array(recon, dtype=bool))
-
-
-def _best_valid_neighbor(sims, u, n, allowed=None):
-    best, best_sim = None, -np.inf
-    for v in range(n):
-        if v == u or not sims.valid[u, v]:
-            continue
-        if allowed is not None and not allowed[v]:
-            continue
-        s = sims.values[u, v]
-        if s > best_sim:
-            best, best_sim = v, s
-    return best
+    keep = cs > quantile_threshold(cs, sparsity_rate)
+    edges = np.stack([cu[keep], cv[keep]], axis=1)
+    isolated = np.flatnonzero(np.bincount(edges.ravel(), minlength=n) == 0)
+    edges, svals, recon, stranded = _reconnect(
+        edges, cs[keep], np.zeros(len(edges), dtype=bool), sims, isolated)
+    if len(stranded):
+        raise GraphError(
+            f"node {stranded[0]} has no valid neighbor to reconnect to")
+    return PatientGraph(n_nodes=n, edges=edges, similarities=svals,
+                        reconnection=recon)
 
 
 def inductive_filter(g, mode, sims=None, train_side=("train", "validation")):
@@ -177,34 +157,15 @@ def inductive_filter(g, mode, sims=None, train_side=("train", "validation")):
         raise GraphError("split tags required for train-mode filtering")
     is_train = np.isin(g.split_tags, train_side)
     keep = is_train[g.edges[:, 0]] == is_train[g.edges[:, 1]]
-    edges = [tuple(e) for e in g.edges[keep].tolist()]
-    svals = list(g.similarities[keep])
-    recon = list(g.reconnection[keep])
-    edge_set = set(edges)
-
-    deg = np.zeros(g.n_nodes, dtype=np.int64)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
+    edges = g.edges[keep].astype(np.int64, copy=False)
+    svals, recon = g.similarities[keep], g.reconnection[keep]
     if sims is not None:
-        for u in np.where(is_train & (deg == 0))[0]:
-            allowed = is_train.copy()
-            allowed[u] = False
-            best = _best_valid_neighbor(sims, u, g.n_nodes, allowed=allowed)
-            if best is None:
-                continue
-            a, b = min(u, int(best)), max(u, int(best))
-            if (a, b) in edge_set:
-                continue
-            edge_set.add((a, b))
-            edges.append((a, b))
-            svals.append(float(sims.values[a, b]))
-            recon.append(True)
-    edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return PatientGraph(n_nodes=g.n_nodes, edges=edges_arr,
-                        similarities=np.array(svals),
-                        reconnection=np.array(recon, dtype=bool),
-                        split_tags=g.split_tags)
+        deg = np.bincount(edges.ravel(), minlength=g.n_nodes)
+        edges, svals, recon, _ = _reconnect(
+            edges, svals, recon, sims, np.flatnonzero(is_train & (deg == 0)),
+            allowed=is_train)
+    return PatientGraph(n_nodes=g.n_nodes, edges=edges, similarities=svals,
+                        reconnection=recon, split_tags=g.split_tags)
 
 
 def homophily(g, labels):
@@ -217,13 +178,12 @@ def homophily(g, labels):
         edge_h = float(same.mean())
     else:
         edge_h = 0.0
-    node_fracs = []
-    for u in range(g.n_nodes):
-        nbrs = g.neighbors(u)
-        if not nbrs:
-            continue
-        node_fracs.append(float(np.mean(labels[nbrs] == labels[u])))
-    node_h = float(np.mean(node_fracs)) if node_fracs else 0.0
+    src, dst, _ = g.directed()
+    deg = np.bincount(src, minlength=g.n_nodes)
+    same_deg = np.bincount(src, weights=labels[src] == labels[dst],
+                           minlength=g.n_nodes)
+    has = deg > 0
+    node_h = float(np.mean(same_deg[has] / deg[has])) if has.any() else 0.0
     _, counts = np.unique(labels, return_counts=True)
     props = counts / counts.sum()
     baseline = float((props ** 2).sum())

@@ -317,10 +317,9 @@ def select_rows(a, idx):
 def sparse_matmul_const(mat, a):
     """Product of a constant scipy sparse matrix with a dense tensor."""
     out_data = np.asarray(mat @ a.data)
-    mat_t = mat.T.tocsr()
 
     def backward(g):
-        _accum(a, np.asarray(mat_t @ g))
+        _accum(a, np.asarray(mat.T @ g))
 
     return Tensor(out_data, parents=(a,), backward=backward, op="spmm")
 

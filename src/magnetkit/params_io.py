@@ -45,31 +45,56 @@ def save_params(path, values, meta=None):
             fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
+def _read(fh, n):
+    blob = fh.read(n)
+    if len(blob) != n:
+        raise ParamsIOError("truncated params file")
+    return blob
+
+
 def load_params(path):
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ParamsIOError("bad magic bytes")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4))
         if version != VERSION:
             raise ParamsIOError(f"unsupported version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
-        values = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code = fh.read(2).decode("ascii")
-            if code not in _DTYPES:
-                raise ParamsIOError(f"unknown dtype code {code!r}")
-            dtype = np.dtype(_DTYPES[code]).newbyteorder("<")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n_items * dtype.itemsize)
-            values[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
-                _DTYPES[code])
+        (meta_len,) = struct.unpack("<I", _read(fh, 4))
+        try:
+            meta = json.loads(_read(fh, meta_len).decode("utf-8"))
+            (count,) = struct.unpack("<I", _read(fh, 4))
+            values = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", _read(fh, 2))
+                name = _read(fh, name_len).decode("utf-8")
+                code = _read(fh, 2).decode("ascii")
+                if code not in _DTYPES:
+                    raise ParamsIOError(f"unknown dtype code {code!r}")
+                dtype = np.dtype(_DTYPES[code]).newbyteorder("<")
+                (ndim,) = struct.unpack("<B", _read(fh, 1))
+                shape = tuple(struct.unpack("<Q", _read(fh, 8))[0]
+                              for _ in range(ndim))
+                n_items = int(np.prod(shape)) if shape else 1
+                raw = _read(fh, n_items * dtype.itemsize)
+                values[name] = np.frombuffer(raw, dtype=dtype).reshape(
+                    shape).astype(_DTYPES[code])
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParamsIOError(f"corrupt params file: {exc}") from exc
     return values, meta
+
+
+def check_table(values, shapes):
+    """Require `values` to hold exactly the tensors named in `shapes`, each
+    with its shape."""
+    missing = sorted(set(shapes) - set(values))
+    unexpected = sorted(set(values) - set(shapes))
+    wrong = sorted(f"{name} {np.shape(values[name])} != {tuple(shapes[name])}"
+                   for name in set(shapes) & set(values)
+                   if np.shape(values[name]) != tuple(shapes[name]))
+    if missing or unexpected or wrong:
+        raise ParamsIOError(
+            f"params do not match the model: missing {missing}, "
+            f"unexpected {unexpected}, wrong shape {wrong}")
 
 
 def save_params_json(path, values, meta=None):

@@ -15,6 +15,7 @@ from . import gnn
 from . import graph as pg
 from . import numerics as nm
 from . import objective as obj
+from . import params_io
 
 
 class ConfigError(ValueError):
@@ -170,6 +171,8 @@ class TrainedModel:
         params = gnn.init_model(self.feature_dims, self.n_classes, self.config,
                                 np.random.default_rng(0))
         _cast_params(params.graph, self.config.dtype)
+        params_io.check_table(self.values, {name: p.data.shape for name, p
+                                            in params.graph.params.items()})
         params.graph.set_values(self.values)
         return params
 

@@ -135,6 +135,73 @@ def test_eval_missing_params_is_config_error(tmp_path, bundle):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    ds = dm.gen_clusters(n=60, clusters=2, dims=(6, 6, 6), cluster_sep=3.0,
+                         noise_sd=0.3, seed=0)
+    dm.save_csv(ds, root / "data")
+    (root / "config.json").write_text(json.dumps({"seed": 0, **FAST_CONFIG}))
+    assert run(["train", "--dataset", root / "data", "--config",
+                root / "config.json", "--out", root / "run"]) == cli.EXIT_OK
+    return root
+
+
+def eval_with(trained_run, tmp_path, params_path):
+    return run(["eval", "--dataset", trained_run / "data", "--params",
+                params_path, "--out", tmp_path / "e"])
+
+
+def test_params_truncated_raises_params_error(trained_run, tmp_path):
+    blob = (trained_run / "run" / "params.bin").read_bytes()
+    path = tmp_path / "cut.bin"
+    for cut in (6, 10, 20, len(blob) // 2, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(params_io.ParamsIOError):
+            params_io.load_params(path)
+
+
+def test_eval_truncated_params_is_config_error(trained_run, tmp_path, capsys):
+    blob = (trained_run / "run" / "params.bin").read_bytes()
+    path = tmp_path / "cut.bin"
+    path.write_bytes(blob[:10])
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    assert "truncated" in capsys.readouterr().err
+
+
+def rewrite_params(trained_run, tmp_path, edit):
+    values, meta = params_io.load_params(trained_run / "run" / "params.bin")
+    edit(values)
+    path = tmp_path / "edited.bin"
+    params_io.save_params(path, values, meta)
+    return path
+
+
+def test_eval_missing_tensor_is_config_error(trained_run, tmp_path, capsys):
+    path = rewrite_params(trained_run, tmp_path,
+                          lambda v: v.pop(sorted(v)[0]))
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    assert "missing" in capsys.readouterr().err
+
+
+def test_eval_unexpected_tensor_is_config_error(trained_run, tmp_path):
+    path = rewrite_params(trained_run, tmp_path,
+                          lambda v: v.update(extra=np.zeros(3)))
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+
+
+def test_eval_same_size_wrong_shape_is_config_error(trained_run, tmp_path,
+                                                     capsys):
+    def transpose_one(values):
+        name = next(k for k, v in sorted(values.items())
+                    if v.ndim == 2 and v.shape[0] != v.shape[1])
+        values[name] = np.ascontiguousarray(values[name].T)
+
+    path = rewrite_params(trained_run, tmp_path, transpose_one)
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    assert "wrong shape" in capsys.readouterr().err
+
+
 def test_bad_config_key_is_config_error(tmp_path, bundle):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": 0, "learnig_rate": 0.1}))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnetkit import evalkit as ek
 
@@ -227,6 +228,22 @@ def test_singleton_cluster_silhouette_zero_term():
     m = ek.cluster_metrics(z, labels)
     ref = brute_silhouette(z, labels)
     assert m["silhouette"] == pytest.approx(ref, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6), st.booleans())
+def test_cluster_metrics_match_brute_force(seed, k, singleton):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(k, 40))
+    z = rng.normal(size=(n, int(rng.integers(1, 5))))
+    # every class present; with `singleton` the last class has one member
+    rest = rng.integers(0, k - 1 if singleton else k, size=n - k)
+    labels = rng.permutation(np.concatenate([np.arange(k), rest]))
+    m = ek.cluster_metrics(z, labels)
+    assert m["silhouette"] == pytest.approx(brute_silhouette(z, labels),
+                                            abs=1e-10)
+    assert m["davies_bouldin"] == pytest.approx(brute_davies_bouldin(z, labels),
+                                                abs=1e-10)
 
 
 def test_cluster_single_class_rejected():

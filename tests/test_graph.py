@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -38,6 +40,78 @@ def brute_similarity(ds):
                 values[u, v] = np.clip(np.mean(coss), -1.0, 1.0)
                 valid[u, v] = True
     return values, valid
+
+
+def brute_best_neighbor(sims, u, allowed=None):
+    best, best_sim = None, -np.inf
+    for v in range(len(sims.values)):
+        if v == u or not sims.valid[u, v]:
+            continue
+        if allowed is not None and not allowed[v]:
+            continue
+        if sims.values[u, v] > best_sim:
+            best, best_sim = v, sims.values[u, v]
+    return best
+
+
+def brute_build_graph(ds, sims, rate):
+    """Edge-list and per-node loop construction: threshold, then reconnect
+    each initially isolated node (ascending) unless its pair repeats."""
+    n = ds.n_patients
+    cand = [(u, v) for u in range(n) for v in range(u + 1, n)
+            if sims.valid[u, v]]
+    cs = np.array([sims.values[u, v] for u, v in cand])
+    beta = -np.inf
+    if len(cs) and rate > 0:
+        rank = min(max(math.ceil(rate * len(cs)), 1), len(cs))
+        beta = np.sort(cs)[rank - 1]
+    edges = [e for e, s in zip(cand, cs) if s > beta]
+    svals = [s for s in cs if s > beta]
+    recon = [False] * len(edges)
+    deg = np.zeros(n, dtype=np.int64)
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    for u in np.where(deg == 0)[0]:
+        best = brute_best_neighbor(sims, u)
+        if best is None:
+            raise gr.GraphError(f"node {u} has no valid neighbor to reconnect to")
+        pair = (min(u, best), max(u, best))
+        if pair not in edges:
+            edges.append(pair)
+            svals.append(float(sims.values[pair]))
+            recon.append(True)
+    return (np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(svals),
+            np.array(recon, dtype=bool))
+
+
+def brute_inductive_filter(g, sims, train_side):
+    is_train = np.isin(g.split_tags, train_side)
+    keep = [is_train[u] == is_train[v] for u, v in g.edges]
+    edges = [tuple(e) for e, k in zip(g.edges.tolist(), keep) if k]
+    svals = [s for s, k in zip(g.similarities, keep) if k]
+    recon = [r for r, k in zip(g.reconnection, keep) if k]
+    touched = {u for e in edges for u in e}
+    if sims is not None:
+        for u in range(g.n_nodes):
+            if not is_train[u] or u in touched:
+                continue
+            best = brute_best_neighbor(sims, u, allowed=is_train)
+            if best is None:
+                continue
+            pair = (min(u, best), max(u, best))
+            if pair not in edges:
+                edges.append(pair)
+                svals.append(float(sims.values[pair]))
+                recon.append(True)
+    return (np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(svals),
+            np.array(recon, dtype=bool))
+
+
+def assert_same_arrays(g, ref):
+    for got, want in zip((g.edges, g.similarities, g.reconnection), ref):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_similarity_matches_brute_force():
@@ -241,3 +315,89 @@ def test_degree_stats_and_export(tmp_path):
     assert lines[0] == "u,v,similarity,tag"
     assert lines[1] == "0,1,0.500000,shared"
     assert lines[2] == "0,2,0.250000,reconnection"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([0.0, 0.3, 0.8, 0.95, 0.99, 0.999]),
+       st.floats(0.0, 0.9), st.booleans())
+def test_build_and_filter_match_loop_oracles(seed, rate, mask_rate, rounded):
+    """High rates force reconnections, heavy masks leave nodes without a valid
+    neighbor, and rounded features tie similarities."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    m = int(rng.integers(1, 4))
+    mods = [rng.normal(size=(n, 2)) for _ in range(m)]
+    if rounded:
+        mods = [np.round(x) for x in mods]
+    mask = (rng.random((n, m)) >= mask_rate).astype(int)
+    mask[mask.sum(axis=1) == 0, 0] = 1
+    ds = dm.MultiomicsDataset(modalities=mods, labels=rng.integers(0, 3, size=n),
+                              mask=mask, modality_names=[f"m{i}" for i in range(m)],
+                              class_count=3)
+    sims = gr.pairwise_similarity(ds)
+    try:
+        ref = brute_build_graph(ds, sims, rate)
+    except gr.GraphError as exc:
+        with pytest.raises(gr.GraphError, match=f"^{exc}$"):
+            gr.build_graph(ds, sims, rate)
+        return
+    g = gr.build_graph(ds, sims, rate)
+    assert_same_arrays(g, ref)
+    g.split_tags = rng.choice(["train", "validation", "test"], size=n)
+    for side in (("train", "validation"), ("train",)):
+        for s in (sims, None):
+            got = gr.inductive_filter(g, "train", sims=s, train_side=side)
+            assert_same_arrays(got, brute_inductive_filter(g, s, side))
+
+
+def test_reconnection_tie_goes_to_lowest_index():
+    # after filtering, nodes 0 and 3 are isolated; node 0 ties between nodes
+    # 2 and 3 (node 1 is invalid for it), node 3 picks node 0
+    values = np.array([[1.0, 0.9, 0.5, 0.5, 0.9],
+                       [0.9, 1.0, 0.9, 0.1, 0.1],
+                       [0.5, 0.9, 1.0, 0.1, 0.1],
+                       [0.5, 0.1, 0.1, 1.0, 0.1],
+                       [0.9, 0.1, 0.1, 0.1, 1.0]])
+    valid = np.ones((5, 5), dtype=bool)
+    valid[0, 1] = valid[1, 0] = False
+    sims = gr.SimilarityMatrix(values=values, valid=valid)
+    g = gr.PatientGraph(n_nodes=5, edges=np.array([[1, 2], [0, 4]]),
+                        similarities=np.array([0.9, 0.9]),
+                        reconnection=np.zeros(2, dtype=bool),
+                        split_tags=np.array(["train"] * 4 + ["test"]))
+    got = gr.inductive_filter(g, "train", sims=sims)
+    assert got.edges.tolist() == [[1, 2], [0, 2], [0, 3]]
+    assert got.reconnection.tolist() == [False, True, True]
+    assert got.similarities.tolist() == [0.9, 0.5, 0.5]
+
+
+def brute_node_homophily(g, labels):
+    fracs = []
+    for u in range(g.n_nodes):
+        nbrs = [b for a, b in g.edges if a == u] + [a for a, b in g.edges if b == u]
+        if nbrs:
+            fracs.append(float(np.mean(labels[nbrs] == labels[u])))
+    return float(np.mean(fracs)) if fracs else 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_homophily_matches_neighbor_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    iu, iv = np.triu_indices(n, k=1)
+    pick = rng.random(len(iu)) < rng.random()
+    edges = np.stack([iu[pick], iv[pick]], axis=1)
+    g = gr.PatientGraph(n_nodes=n, edges=edges, similarities=np.ones(len(edges)),
+                        reconnection=np.zeros(len(edges), dtype=bool))
+    labels = rng.integers(0, 3, size=n)
+    node_h, _, _ = gr.homophily(g, labels)
+    assert node_h == brute_node_homophily(g, labels)
+
+
+def test_self_loop_rejected():
+    with pytest.raises(gr.GraphError, match="self-loop"):
+        gr.PatientGraph(n_nodes=3, edges=np.array([[0, 1], [2, 2]]),
+                        similarities=np.zeros(2),
+                        reconnection=np.zeros(2, dtype=bool))
