@@ -150,6 +150,12 @@ def cmd_train(args):
 
 def _rebuild_trained(params_path):
     values, meta = params_io.load_params(params_path)
+    if not isinstance(meta, dict):
+        raise params_io.ParamsIOError("params meta is not a JSON object")
+    missing = [k for k in ("config", "feature_dims", "n_classes", "split_seed")
+               if k not in meta]
+    if missing:
+        raise params_io.ParamsIOError(f"params meta lacks {', '.join(missing)}")
     config = tr.RunConfig.from_dict(meta["config"])
     trained = tr.TrainedModel(values=values, config=config,
                               feature_dims=meta["feature_dims"],

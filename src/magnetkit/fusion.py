@@ -15,10 +15,9 @@ class FusionError(ValueError):
 
 @dataclass
 class FusionState:
-    """Forward artifacts kept for export: stacked embeddings, per-head
-    attention, and the fused embedding (all plain arrays)."""
+    """Forward artifacts kept for export: per-head attention and the fused
+    embedding (plain arrays)."""
 
-    H: np.ndarray            # N x M x d
     attention: list          # K arrays of N x M
     Z: np.ndarray            # N x d
 
@@ -73,61 +72,33 @@ def encode(modalities, enc_params):
     return hs
 
 
-def _head_fuse(transformed, mask, w_att, lo, hi):
-    """Single attention head over channel slice [lo, hi) of the transformed
-    embeddings; returns (A tensor N x M, fused tensor N x d_h)."""
-    cols = []
-    slices = []
-    for t in transformed:
-        t_k = nm.slice_last_dim(t, lo, hi)
-        slices.append(t_k)
-        cols.append(nm.matmul(t_k, w_att))
-    logits = nm.concat_last_dim(cols)
-    att = nm.masked_softmax(logits, mask)
-    fused = None
-    for i, t_k in enumerate(slices):
-        term = nm.rowwise_scale(t_k, nm.slice_last_dim(att, i, i + 1))
-        fused = term if fused is None else nm.add(fused, term)
-    return att, fused
-
-
-def fuse_single_head(h_list, mask, w_lin, w_att):
-    """Masked single-head attention fusion over W_lin-transformed embeddings."""
-    _check_mask(mask, len(h_list))
-    transformed = [nm.matmul(h, w_lin) for h in h_list]
-    d = transformed[0].shape[1]
-    return _head_fuse(transformed, mask, w_att, 0, d)
-
-
 def fuse_multi_head(h_list, mask, att_params):
-    """Multi-head fusion: W_lin transform, contiguous channel split across
-    heads, per-head masked attention, concat, output projection.
+    """Multi-head fusion over the stacked N x M x d embeddings: W_lin
+    transform, contiguous channel split across K heads, masked softmax over
+    the modalities of each head, attention-weighted sum, concat, output
+    projection.
 
-    Returns (list of per-head attention tensors, fused N x d tensor).
+    Returns (N x M x K attention tensor, fused N x d tensor).
     """
     _check_mask(mask, len(h_list))
     heads, d_h = att_params["heads"], att_params["d_h"]
-    transformed = [nm.matmul(h, att_params["w_lin"]) for h in h_list]
-    atts, fused = [], []
-    for k in range(heads):
-        a, z = _head_fuse(transformed, mask, att_params["w_att"][k],
-                          k * d_h, (k + 1) * d_h)
-        atts.append(a)
-        fused.append(z)
-    z = nm.concat_last_dim(fused) if heads > 1 else fused[0]
-    return atts, nm.matmul(z, att_params["w_out"])
+    n, m = np.shape(mask)
+    h = nm.reshape(nm.concat_last_dim(h_list), (n * m, heads * d_h))
+    t = nm.reshape(nm.matmul(h, att_params["w_lin"]), (n, m, heads, d_h))
+    w_att = nm.concat_last_dim(att_params["w_att"])  # d_h x K
+    att = nm.masked_softmax(nm.einsum("nmkh,hk->nmk", t, w_att), mask)
+    z = nm.reshape(nm.einsum("nmk,nmkh->nkh", att, t), (n, heads * d_h))
+    return att, nm.matmul(z, att_params["w_out"])
 
 
 def equal_weight_fuse(h_list, mask):
     """Fusion ablation: plain mean of the available modality embeddings."""
     _check_mask(mask, len(h_list))
-    m = np.asarray(mask, dtype=float)
-    weights = m / m.sum(axis=1, keepdims=True)
-    z = None
-    for i, h in enumerate(h_list):
-        term = nm.rowwise_scale(h, nm.constant(weights[:, i]))
-        z = term if z is None else nm.add(z, term)
-    return z
+    n, m = np.shape(mask)
+    h = nm.reshape(nm.concat_last_dim(h_list), (n, m, -1))
+    w = np.asarray(mask, dtype=h.data.dtype)
+    w = nm.constant(w / w.sum(axis=1, keepdims=True))
+    return nm.einsum("nm,nmd->nd", w, h)
 
 
 def _check_mask(mask, n_modalities):

@@ -125,12 +125,9 @@ def forward(params, modalities, mask, view, config, rng=None, training=False):
     if params.attention is None:
         atts, z = [], fu.equal_weight_fuse(hs, mask)
     else:
-        atts, z = fu.fuse_multi_head(hs, mask, params.attention)
-    state = fu.FusionState(
-        H=np.stack([h.data for h in hs], axis=1),
-        attention=[a.data for a in atts],
-        Z=z.data,
-    )
+        att, z = fu.fuse_multi_head(hs, mask, params.attention)
+        atts = list(np.moveaxis(att.data, 2, 0))
+    state = fu.FusionState(attention=atts, Z=z.data)
     z_out = z
     for layer_params in params.sage:
         z_out = sage_layer(z_out, view, layer_params)

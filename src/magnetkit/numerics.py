@@ -1,10 +1,11 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Covers exactly the operations needed by the rest of the package: dense
-matmul, row-bias addition, ReLU, masked softmax over modality rows,
-pairwise squared distances, sparse-constant matrix products for graph
-aggregation, and a stabilized cross-entropy. Everything is double
-precision by default; float32 is opt-in for the scalability benchmark.
+matmul, two-operand einsum, row-bias addition, ReLU, masked softmax over
+the modality axis, pairwise squared distances, sparse-constant matrix
+products for graph aggregation, and a stabilized cross-entropy. Everything
+is double precision by default; float32 is opt-in for the scalability
+benchmark.
 """
 
 from __future__ import annotations
@@ -225,17 +226,6 @@ def reciprocal(a):
     return Tensor(out_data, parents=(a,), backward=backward, op="reciprocal")
 
 
-def mean_rows(a):
-    if a.data.ndim != 2:
-        raise NumericsError("mean_rows expects a matrix")
-    n = a.data.shape[0]
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return Tensor(a.data.mean(axis=0), parents=(a,), backward=backward, op="mean_rows")
-
-
 def sum_all(a):
     def backward(g):
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
@@ -273,16 +263,6 @@ def concat_last_dim(tensors):
     return Tensor(out_data, parents=tuple(tensors), backward=backward, op="concat")
 
 
-def slice_last_dim(a, start, stop):
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        _accum(a, full)
-
-    return Tensor(a.data[..., start:stop].copy(), parents=(a,), backward=backward,
-                  op="slice")
-
-
 def reshape(a, shape):
     def backward(g):
         _accum(a, g.reshape(a.data.shape))
@@ -290,17 +270,29 @@ def reshape(a, shape):
     return Tensor(a.data.reshape(shape), parents=(a,), backward=backward, op="reshape")
 
 
-def rowwise_scale(a, s):
-    """Scale each row of a matrix by a per-row coefficient (N,) or (N,1)."""
-    coeff = s.data.reshape(-1, 1)
-    if coeff.shape[0] != a.data.shape[0]:
-        raise NumericsError("rowwise_scale length mismatch")
+def einsum(spec, a, b):
+    """Two-operand ``np.einsum`` with an explicit output, e.g. "nm,nmd->nd".
+
+    The grad of each operand is the einsum of the output grad with the
+    other operand, spec swapped. That holds only if every index of an
+    operand also appears in the other operand or in the output, so an
+    index summed inside one operand is rejected.
+    """
+    ins, arrow, out = spec.partition("->")
+    sa, _, sb = ins.partition(",")
+    if not arrow or not sb or "," in sb:
+        raise NumericsError(f"einsum spec {spec!r} needs two operands and '->'")
+    for own, other in ((sa, sb), (sb, sa)):
+        if len(set(own)) != len(own) or set(own) - set(other) - set(out):
+            raise NumericsError(
+                f"einsum spec {spec!r} sums an index inside one operand")
 
     def backward(g):
-        _accum(a, g * coeff)
-        _accum(s, (g * a.data).sum(axis=1).reshape(s.data.shape))
+        _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
 
-    return Tensor(a.data * coeff, parents=(a, s), backward=backward, op="rowscale")
+    return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b),
+                  backward=backward, op="einsum")
 
 
 def select_rows(a, idx):
@@ -337,17 +329,20 @@ def dropout(a, rate, rng):
 
 
 def masked_softmax(logits, mask):
-    """Row-wise softmax restricted to mask==1 entries.
+    """Softmax over axis 1 restricted to mask==1 entries.
 
-    Masked entries get exactly zero probability and exactly zero gradient;
-    implemented as an additive -1e30 followed by explicit zeroing, avoiding
-    true -inf arithmetic.
+    ``logits`` is N x M or N x M x ... (e.g. one column per head); the
+    N x M ``mask`` is broadcast over the trailing axes. Masked entries get
+    exactly zero probability and exactly zero gradient; implemented as an
+    additive -1e30 followed by explicit zeroing, avoiding true -inf
+    arithmetic.
     """
     m = np.asarray(mask, dtype=logits.data.dtype)
-    if m.shape != logits.data.shape:
+    if m.ndim != 2 or m.shape != logits.data.shape[:2]:
         raise NumericsError("mask shape mismatch")
     if np.any(m.sum(axis=1) < 1):
         raise NumericsError("patient with no available modality")
+    m = m.reshape(m.shape + (1,) * (logits.data.ndim - 2))
     z = logits.data + (m - 1.0) * NEG_MASK
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z) * m

@@ -12,9 +12,6 @@ class ObjectiveError(ValueError):
     pass
 
 
-LOG_FLOOR = 1e-12
-
-
 def ce_loss(logits, labels):
     """Summed cross-entropy over the given rows (training patients only)."""
     return nm.cross_entropy_sum(logits, labels)
@@ -39,26 +36,6 @@ def build_P(sims, train_ids):
         aff = valid.astype(float)
         total = aff.sum()
     return aff / total, valid
-
-
-def build_Q(z, valid):
-    """Fused-space pairwise distribution from the Student-t kernel,
-    restricted to the same valid-pair set as P. Plain-array version."""
-    z = np.asarray(z, dtype=float)
-    sq = (z * z).sum(axis=1)
-    d = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0)
-    k = np.where(valid, 1.0 / (1.0 + d), 0.0)
-    return k / k.sum()
-
-
-def kl_loss(p, q, valid=None):
-    """KL(P || Q) over the valid pair set; terms with p == 0 contribute 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    if valid is not None:
-        mask &= valid
-    return float((p[mask] * np.log(p[mask] / np.maximum(q[mask], LOG_FLOOR))).sum())
 
 
 def kl_alignment_loss(z_tensor, p, valid):

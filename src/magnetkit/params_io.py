@@ -1,5 +1,5 @@
 """Trained-parameter serialization: versioned flat binary with a named-tensor
-table, plus a JSON fallback for inspection."""
+table."""
 
 from __future__ import annotations
 
@@ -95,21 +95,3 @@ def check_table(values, shapes):
         raise ParamsIOError(
             f"params do not match the model: missing {missing}, "
             f"unexpected {unexpected}, wrong shape {wrong}")
-
-
-def save_params_json(path, values, meta=None):
-    doc = {"meta": meta or {},
-           "tensors": {k: {"shape": list(v.shape),
-                           "dtype": str(v.dtype),
-                           "data": np.asarray(v).ravel().tolist()}
-                       for k, v in values.items()}}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_params_json(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    values = {k: np.array(t["data"], dtype=t["dtype"]).reshape(t["shape"])
-              for k, t in doc["tensors"].items()}
-    return values, doc.get("meta", {})

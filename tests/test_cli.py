@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,15 +57,6 @@ def test_params_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(params_io.ParamsIOError):
         params_io.load_params(path)
-
-
-def test_params_json_fallback(tmp_path):
-    values = {"w": np.arange(6.0).reshape(2, 3)}
-    path = tmp_path / "params.json"
-    params_io.save_params_json(path, values, {"note": 1})
-    back, meta = params_io.load_params_json(path)
-    assert meta == {"note": 1}
-    assert np.array_equal(back["w"], values["w"])
 
 
 def test_gen_writes_bundle_and_is_reproducible(tmp_path):
@@ -200,6 +194,30 @@ def test_eval_same_size_wrong_shape_is_config_error(trained_run, tmp_path,
     path = rewrite_params(trained_run, tmp_path, transpose_one)
     assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
     assert "wrong shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["config", "split_seed"])
+def test_eval_meta_without_key_is_config_error(trained_run, tmp_path, capsys,
+                                               key):
+    values, meta = params_io.load_params(trained_run / "run" / "params.bin")
+    del meta[key]
+    path = tmp_path / "no_meta_key.bin"
+    params_io.save_params(path, values, meta)
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_scripts_print_help():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    scripts = sorted((root / "scripts").glob("*.py"))
+    assert len(scripts) == 4
+    for script in scripts:
+        done = subprocess.run([sys.executable, str(script), "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (script.name, done.stderr)
 
 
 def test_bad_config_key_is_config_error(tmp_path, bundle):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnetkit import fusion as fu
 from magnetkit import numerics as nm
@@ -64,6 +65,29 @@ def brute_single_head(h_arrays, mask, w_lin, w_att):
     return att, z
 
 
+def brute_multi_head(h_arrays, mask, w_lin, w_atts, w_out):
+    """Loop oracle for K heads: brute_single_head on each head's channel
+    slice of W_lin, concat, output projection."""
+    d_h = w_lin.shape[1] // len(w_atts)
+    atts, zs = [], []
+    for k, w_att in enumerate(w_atts):
+        att, z = brute_single_head(h_arrays, mask,
+                                   w_lin[:, k * d_h:(k + 1) * d_h], w_att)
+        atts.append(att)
+        zs.append(z)
+    return np.stack(atts, axis=2), np.concatenate(zs, axis=1) @ w_out
+
+
+def fuse_single_head(h, mask, w_lin, w_att):
+    """Single-head fusion: fuse_multi_head with K=1 and W_out = I.
+    Returns (N x M attention array, fused tensor)."""
+    d = w_lin.shape[1]
+    params = {"w_lin": w_lin, "w_att": [w_att], "w_out": nm.constant(np.eye(d)),
+              "heads": 1, "d_h": d}
+    att, z = fu.fuse_multi_head(h, mask, params)
+    return att.data[:, :, 0], z
+
+
 def test_fuse_single_head_matches_hand_computation():
     rng = np.random.default_rng(2)
     h = [rng.normal(size=(2, 2)) for _ in range(2)]
@@ -75,8 +99,8 @@ def test_fuse_single_head_matches_hand_computation():
     g = nm.ComputeGraph()
     w_lin = g.add_parameter("w_lin", w_lin_v)
     w_att = g.add_parameter("w_att", w_att_v)
-    att, z = fu.fuse_single_head([nm.constant(x) for x in h], mask, w_lin, w_att)
-    assert np.allclose(att.data, att_ref, atol=1e-12)
+    att, z = fuse_single_head([nm.constant(x) for x in h], mask, w_lin, w_att)
+    assert np.allclose(att, att_ref, atol=1e-12)
     assert np.allclose(z.data, z_ref, atol=1e-12)
 
 
@@ -87,8 +111,8 @@ def test_single_available_modality_forces_weight_one():
     g = nm.ComputeGraph()
     w_lin = g.add_parameter("w_lin", rng.normal(size=(2, 2)))
     w_att = g.add_parameter("w_att", rng.normal(size=(2, 1)))
-    att, z = fu.fuse_single_head(h, mask, w_lin, w_att)
-    assert np.array_equal(att.data, np.eye(3))
+    att, z = fuse_single_head(h, mask, w_lin, w_att)
+    assert np.array_equal(att, np.eye(3))
     for j in range(3):
         assert np.allclose(z.data[j], (h[j].data @ w_lin.data)[j])
 
@@ -100,24 +124,49 @@ def test_zero_attention_vector_gives_uniform_weights():
     g = nm.ComputeGraph()
     w_lin = g.add_parameter("w_lin", rng.normal(size=(2, 2)))
     w_att = g.add_parameter("w_att", np.zeros((2, 1)))
-    att, _ = fu.fuse_single_head(h, mask, w_lin, w_att)
+    att, _ = fuse_single_head(h, mask, w_lin, w_att)
     expected = mask / mask.sum(axis=1, keepdims=True)
-    assert np.allclose(att.data, expected)
+    assert np.allclose(att, expected)
 
 
 def test_multi_head_k1_identity_projection_matches_single_head():
     rng = np.random.default_rng(5)
-    h = [nm.constant(rng.normal(size=(3, 4))) for _ in range(2)]
+    h = [rng.normal(size=(3, 4)) for _ in range(2)]
     mask = np.array([[1, 1], [1, 0], [0, 1]])
     g = nm.ComputeGraph()
     params = fu.init_attention_params(g, 4, 1, rng)
     params["w_att"][0].data = rng.normal(size=(4, 1))
     params["w_out"].data = np.eye(4)
-    atts, z_multi = fu.fuse_multi_head(h, mask, params)
-    att_s, z_single = fu.fuse_single_head(h, mask, params["w_lin"],
-                                          params["w_att"][0])
-    assert np.allclose(atts[0].data, att_s.data)
-    assert np.allclose(z_multi.data, z_single.data)
+    att, z_multi = fu.fuse_multi_head([nm.constant(x) for x in h], mask, params)
+    att_s, z_single = brute_single_head(h, mask, params["w_lin"].data,
+                                        params["w_att"][0].data)
+    assert att.shape == (3, 2, 1)
+    assert np.allclose(att.data[:, :, 0], att_s)
+    assert np.allclose(z_multi.data, z_single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 4]))
+def test_multi_head_matches_loop_oracle(seed, heads):
+    rng = np.random.default_rng(seed)
+    n, m, d = int(rng.integers(1, 9)), int(rng.integers(1, 6)), 4 * heads
+    h = [rng.normal(size=(n, d)) for _ in range(m)]
+    mask = rng.integers(0, 2, size=(n, m))
+    mask[np.arange(n), rng.integers(0, m, size=n)] = 1
+    mask[0] = 0
+    mask[0, rng.integers(0, m)] = 1  # a row with one available modality
+    g = nm.ComputeGraph()
+    params = fu.init_attention_params(g, d, heads, rng)
+    for w in params["w_att"]:
+        w.data = rng.normal(size=w.data.shape)
+    att, z = fu.fuse_multi_head([nm.constant(x) for x in h], mask, params)
+    att_ref, z_ref = brute_multi_head(h, mask, params["w_lin"].data,
+                                      [w.data for w in params["w_att"]],
+                                      params["w_out"].data)
+    assert att.shape == (n, m, heads)
+    assert np.allclose(att.data, att_ref, rtol=0, atol=1e-10)
+    assert np.allclose(z.data, z_ref, rtol=0, atol=1e-10)
+    assert np.all(att.data[mask == 0] == 0.0)
 
 
 @pytest.mark.parametrize("heads", [2, 4, 8])
@@ -132,11 +181,10 @@ def test_multi_head_row_stochastic(heads):
     for w in params["w_att"]:
         w.data = rng.normal(size=w.data.shape)
     atts, z = fu.fuse_multi_head(h, mask, params)
-    assert len(atts) == heads
     assert z.shape == (5, d)
-    for a in atts:
-        assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-6)
-        assert np.all(a.data[mask == 0] == 0.0)
+    assert atts.shape == (5, 3, heads)
+    assert np.allclose(atts.data.sum(axis=1), 1.0, atol=1e-6)
+    assert np.all(atts.data[mask == 0] == 0.0)
 
 
 def test_head_count_must_divide_dim():
@@ -162,7 +210,7 @@ def test_equal_weight_equals_zero_att_identity_lin():
     g = nm.ComputeGraph()
     w_lin = g.add_parameter("w_lin", np.eye(3))
     w_att = g.add_parameter("w_att", np.zeros((3, 1)))
-    _, z_att = fu.fuse_single_head(h, mask, w_lin, w_att)
+    _, z_att = fuse_single_head(h, mask, w_lin, w_att)
     z_eq = fu.equal_weight_fuse(h, mask)
     assert np.allclose(z_att.data, z_eq.data, atol=1e-12)
 
@@ -231,7 +279,6 @@ def test_parameter_count_linear_in_modalities():
 
 def test_export_attention_rows():
     state = fu.FusionState(
-        H=np.zeros((3, 3, 2)),
         attention=[np.full((3, 3), 1 / 3), np.full((3, 3), 1 / 3)],
         Z=np.zeros((3, 2)))
     rows = fu.export_attention(state)
@@ -244,8 +291,7 @@ def test_export_attention_rows():
 
 
 def test_export_attention_csv_format(tmp_path):
-    state = fu.FusionState(H=np.zeros((1, 2, 2)),
-                           attention=[np.array([[0.25, 0.75]])],
+    state = fu.FusionState(attention=[np.array([[0.25, 0.75]])],
                            Z=np.zeros((1, 2)))
     path = tmp_path / "att.csv"
     fu.write_attention_csv(fu.export_attention(state, ["pA"], ["dna", "rna"]),

@@ -80,10 +80,50 @@ def test_masked_softmax_contract(seed):
     assert np.all(grads["logits"][mask == 0] == 0.0)
 
 
-def test_relu_and_mean_rows_and_pairwise():
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_masked_softmax_3d_contract(seed):
+    """N x M x K logits under an N x M mask: each head is the 2-D softmax
+    of its column, masked weights and their gradients are exactly 0."""
+    rng = np.random.default_rng(seed)
+    n, m, k = rng.integers(1, 8), rng.integers(2, 6), rng.integers(1, 5)
+    logits = rng.normal(scale=3.0, size=(n, m, k))
+    mask = rng.integers(0, 2, size=(n, m))
+    mask[np.arange(n), rng.integers(0, m, size=n)] = 1  # no empty row
+    g = nm.ComputeGraph()
+    t = g.add_parameter("logits", logits)
+    p = nm.masked_softmax(t, mask)
+    grads = g.backward(nm.sum_all(nm.mul(p, p)))
+    for head in range(k):
+        assert np.all(p.data[:, :, head][mask == 0] == 0.0)
+        assert np.all(grads["logits"][:, :, head][mask == 0] == 0.0)
+        assert np.array_equal(
+            p.data[:, :, head],
+            nm.masked_softmax(nm.constant(logits[:, :, head]), mask).data)
+    assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_masked_softmax_3d_mask_shape_rejected():
+    with pytest.raises(nm.NumericsError):
+        nm.masked_softmax(nm.constant(np.zeros((2, 3, 2))), np.ones((2, 2)))
+
+
+def test_einsum_forward_and_rejected_specs():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 4))
+    out = nm.einsum("nm,nmd->nd", nm.constant(a), nm.constant(b))
+    assert np.allclose(out.data, np.einsum("nm,nmd->nd", a, b), atol=1e-14)
+    # an index summed inside one operand (i only in a, or a diagonal), no
+    # '->', one operand, three operands
+    for spec, x, y in [("ij,jk->jk", a.T, b[0]), ("ii,ij->j", a[:2], a[:2]),
+                       ("ij,jk", a, b[0]), ("ij->j", a, a),
+                       ("ij,jk,kl->il", a, b[0])]:
+        with pytest.raises(nm.NumericsError):
+            nm.einsum(spec, nm.constant(x), nm.constant(y))
+
+
+def test_relu_and_pairwise():
     assert nm.relu(nm.constant([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
-    assert np.allclose(nm.mean_rows(nm.constant([[2.0, 4.0], [0.0, 0.0]])).data,
-                       [1.0, 2.0])
     d = nm.squared_euclidean_pairwise(nm.constant([[0.0, 0.0], [3.0, 4.0]]))
     assert d.data[0, 1] == pytest.approx(25.0)
 
@@ -93,7 +133,9 @@ def test_concat_and_slice_roundtrip():
     b = nm.constant(np.arange(4.0).reshape(2, 2))
     c = nm.concat_last_dim([a, b])
     assert c.shape == (2, 5)
-    assert np.array_equal(nm.slice_last_dim(c, 3, 5).data, b.data)
+    assert np.array_equal(c.data[:, 3:5], b.data)
+    r = nm.reshape(c, (5, 2))
+    assert np.array_equal(r.data.reshape(2, 5), c.data)
 
 
 def test_backward_sum_gives_ones():
@@ -179,20 +221,27 @@ def test_grad_check_constant_function():
     assert nm.grad_check(build, {"x": np.array([1.0, 2.0])}) == 0.0
 
 
+def _square(t):
+    return nm.mul(t, t)
+
+
 @pytest.mark.parametrize("op,shapes", [
     (lambda t: nm.sum_all(nm.relu(nm.shift(t["x"], 0.05))), {"x": (4, 3)}),
     (lambda t: nm.sum_all(nm.log(nm.shift(nm.mul(t["x"], t["x"]), 1.0))),
      {"x": (3, 3)}),
     (lambda t: nm.sum_all(nm.reciprocal(nm.shift(nm.mul(t["x"], t["x"]), 1.0))),
      {"x": (2, 5)}),
-    (lambda t: nm.sum_all(nm.mean_rows(t["x"])), {"x": (4, 2)}),
+    (lambda t: nm.sum_all(_square(nm.einsum("nmkh,hk->nmk", t["x"], t["w"]))),
+     {"x": (3, 2, 2, 3), "w": (3, 2)}),
     (lambda t: nm.sum_all(nm.squared_euclidean_pairwise(t["x"])), {"x": (5, 3)}),
-    (lambda t: nm.sum_all(nm.rowwise_scale(t["x"], t["s"])),
-     {"x": (4, 3), "s": (4,)}),
+    (lambda t: nm.sum_all(_square(nm.einsum("nmk,nmkh->nkh", t["a"], t["x"]))),
+     {"a": (3, 2, 2), "x": (3, 2, 2, 3)}),
     (lambda t: nm.sum_all(nm.add(t["x"], t["b"])), {"x": (3, 4), "b": (4,)}),
     (lambda t: nm.cross_entropy_sum(t["x"], np.array([0, 2, 1])), {"x": (3, 3)}),
     (lambda t: nm.sum_all(nm.select_rows(t["x"], np.array([0, 2, 2]))),
      {"x": (4, 3)}),
+    (lambda t: nm.sum_all(_square(nm.einsum("nm,nmd->nd", t["w"], t["x"]))),
+     {"w": (3, 2), "x": (3, 2, 4)}),
 ])
 def test_per_op_gradients(op, shapes):
     rng = np.random.default_rng(7)

