@@ -52,6 +52,8 @@ def _load_config(args, **overrides):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise tr.ConfigError(f"config file {args.config} is not a JSON object")
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     if getattr(args, "precision", None):
@@ -148,6 +150,10 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rebuild_trained(params_path):
     values, meta = params_io.load_params(params_path)
     if not isinstance(meta, dict):
@@ -156,6 +162,15 @@ def _rebuild_trained(params_path):
                if k not in meta]
     if missing:
         raise params_io.ParamsIOError(f"params meta lacks {', '.join(missing)}")
+    dims = meta["feature_dims"]
+    wrong = [k for k, ok in (
+        ("feature_dims", isinstance(dims, list) and all(map(_is_int, dims))),
+        ("n_classes", _is_int(meta["n_classes"])),
+        ("split_seed", _is_int(meta["split_seed"])),
+        ("topk", meta.get("topk") is None or _is_int(meta["topk"]))) if not ok]
+    if wrong:
+        raise params_io.ParamsIOError(
+            f"params meta has a wrong type for {', '.join(wrong)}")
     config = tr.RunConfig.from_dict(meta["config"])
     trained = tr.TrainedModel(values=values, config=config,
                               feature_dims=meta["feature_dims"],

@@ -62,19 +62,17 @@ def pairwise_similarity(ds):
     shared modality are flagged invalid. Diagonal is valid with value 1.
     """
     n = ds.n_patients
+    present = (ds.mask == 1).astype(np.float64)
     total = np.zeros((n, n))
-    counts = np.zeros((n, n))
     for i in range(ds.n_modalities):
-        present = ds.mask[:, i] == 1
         x = ds.modalities[i]
         norms = np.linalg.norm(x, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
         xn = x / safe[:, None]
-        xn[norms == 0] = 0.0
-        cos = xn @ xn.T
-        pair = np.outer(present, present)
-        total += np.where(pair, cos, 0.0)
-        counts += pair
+        # an absent or zero-norm row adds exactly 0 to every pair it is in
+        xn[(present[:, i] == 0) | (norms == 0)] = 0.0
+        total += xn @ xn.T
+    counts = present @ present.T
     valid = counts > 0
     values = np.divide(total, counts, out=np.zeros_like(total), where=valid)
     np.clip(values, -1.0, 1.0, out=values)

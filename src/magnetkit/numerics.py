@@ -2,10 +2,10 @@
 
 Covers exactly the operations needed by the rest of the package: dense
 matmul, two-operand einsum, row-bias addition, ReLU, masked softmax over
-the modality axis, pairwise squared distances, sparse-constant matrix
-products for graph aggregation, and a stabilized cross-entropy. Everything
-is double precision by default; float32 is opt-in for the scalability
-benchmark.
+the modality axis, sparse-constant matrix products for graph aggregation,
+a stabilized cross-entropy and the Student-t KL alignment loss as one
+fused node. Everything is double precision by default; float32 is opt-in
+for the scalability benchmark.
 """
 
 from __future__ import annotations
@@ -217,32 +217,11 @@ def log(a):
     return Tensor(np.log(a.data), parents=(a,), backward=backward, op="log")
 
 
-def reciprocal(a):
-    out_data = 1.0 / a.data
-
-    def backward(g):
-        _accum(a, -g * out_data * out_data)
-
-    return Tensor(out_data, parents=(a,), backward=backward, op="reciprocal")
-
-
 def sum_all(a):
     def backward(g):
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
     return Tensor(a.data.sum(), parents=(a,), backward=backward, op="sum_all")
-
-
-def dot_const(a, weights):
-    """Scalar sum(a * weights) with constant weights."""
-    w = np.asarray(weights, dtype=a.data.dtype)
-    if w.shape != a.data.shape:
-        raise NumericsError(f"dot_const shape mismatch {a.shape} vs {w.shape}")
-
-    def backward(g):
-        _accum(a, g * w)
-
-    return Tensor((a.data * w).sum(), parents=(a,), backward=backward, op="dot_const")
 
 
 def concat_last_dim(tensors):
@@ -374,20 +353,48 @@ def cross_entropy_sum(logits, labels):
     return Tensor(np.asarray(loss), parents=(logits,), backward=backward, op="ce")
 
 
-def squared_euclidean_pairwise(z):
-    """All-pairs squared Euclidean distances between rows of z."""
-    if z.data.ndim != 2:
+def student_t_kl(z, p, weights, p_log_p):
+    """KL(P || Q) of a fixed pair distribution P against the Student-t pair
+    distribution Q of the rows of z, as one tape node.
+
+    With d the squared distances between rows and k = 1 / (1 + d), Q is
+    W * k / S on the pairs the constant ``weights`` W marks (1 valid, 0 not)
+    and S = sum(W * k). ``p_log_p`` is the constant sum of p log p, so
+    KL = p_log_p + sum(p log(1 + d)) + log S. P need not be symmetric. The
+    backward is the t-SNE gradient: with G = k * (P - W * k / S),
+    dz = 2 ((rowsum G + colsum G) z - G z - G^T z).
+    """
+    x = z.data
+    if x.ndim != 2:
         raise NumericsError("pairwise distance expects a matrix")
-    sq = (z.data * z.data).sum(axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (z.data @ z.data.T)
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
+    n = x.shape[0]
+    if p.shape != (n, n) or weights.shape != (n, n):
+        raise NumericsError(f"pair matrices {p.shape} and {weights.shape} "
+                            f"do not match {n} rows")
+    sq = (x * x).sum(axis=1)
+    k = x @ x.T  # turned into 1 + d, then into the kernel, in place
+    k *= -2.0
+    k += sq[:, None]
+    k += sq[None, :]
+    np.maximum(k, 0.0, out=k)
+    k += 1.0
+    cross = float(np.vdot(p, np.log(k)))
+    np.reciprocal(k, out=k)
+    s = float(np.vdot(weights, k))
 
     def backward(g):
-        sym = g + g.T
-        _accum(z, 2.0 * (sym.sum(axis=1)[:, None] * z.data - sym @ z.data))
+        grad = weights * k
+        grad *= -1.0 / s
+        grad += p
+        grad *= k
+        dz = (grad.sum(axis=1) + grad.sum(axis=0))[:, None] * x
+        dz -= grad @ x
+        dz -= grad.T @ x
+        dz *= 2.0 * float(g)
+        _accum(z, dz)
 
-    return Tensor(d, parents=(z,), backward=backward, op="pairwise_sqdist")
+    value = np.asarray(p_log_p + cross + np.log(s), dtype=x.dtype)
+    return Tensor(value, parents=(z,), backward=backward, op="student_t_kl")
 
 
 # ---------------------------------------------------------------------------

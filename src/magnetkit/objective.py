@@ -3,6 +3,8 @@ the weighted total."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import numerics as nm
@@ -17,11 +19,33 @@ def ce_loss(logits, labels):
     return nm.cross_entropy_sum(logits, labels)
 
 
-def build_P(sims, train_ids):
+@dataclass(frozen=True)
+class AlignmentTarget:
+    """The constants of the alignment loss, built once per training run.
+
+    ``p`` is the N x N pair distribution P, ``weights`` is 1 on the valid
+    pairs and 0 elsewhere, both in the run dtype; ``p_log_p`` is the
+    constant sum of p log p over p > 0.
+    """
+
+    p: np.ndarray
+    weights: np.ndarray
+    p_log_p: float
+
+    @classmethod
+    def of(cls, p, valid, dtype=np.float64):
+        p = np.asarray(p, dtype=dtype)
+        pos = p[p > 0].astype(np.float64)
+        return cls(p=p, weights=np.asarray(valid, dtype=dtype),
+                   p_log_p=float((pos * np.log(pos)).sum()))
+
+
+def build_P(sims, train_ids, dtype=np.float64):
     """Input-space pairwise distribution: shift cosines to (1+cos)/2 on valid
     ordered pairs i != j, then normalize globally.
 
-    Returns (P matrix over train_ids, bool valid-pair mask with zero diagonal).
+    Returns the AlignmentTarget over train_ids; its valid pairs have a zero
+    diagonal.
     """
     idx = np.asarray(train_ids, dtype=np.int64)
     vals = sims.values[np.ix_(idx, idx)]
@@ -35,23 +59,13 @@ def build_P(sims, train_ids):
         # all valid pairs at cosine -1; fall back to uniform over valid pairs
         aff = valid.astype(float)
         total = aff.sum()
-    return aff / total, valid
+    return AlignmentTarget.of(aff / total, valid, dtype)
 
 
-def kl_alignment_loss(z_tensor, p, valid):
+def kl_alignment_loss(z_tensor, target):
     """Differentiable KL(P || Q(z)) with Q built from the Student-t kernel on
     the current embeddings, normalized over the valid pair set."""
-    p = np.asarray(p, dtype=float)
-    valid_f = valid.astype(float)
-    d = nm.squared_euclidean_pairwise(z_tensor)
-    k = nm.reciprocal(nm.shift(d, 1.0))
-    total = nm.dot_const(k, valid_f)  # scalar sum of kernel over valid pairs
-    # KL = sum p log p - sum p log k + log(total); the p log p term is constant.
-    log_k = nm.log(k)  # finite everywhere: kernel is in (0, 1]
-    cross = nm.dot_const(log_k, p)
-    p_pos = p[p > 0]
-    entropy_term = float((p_pos * np.log(p_pos)).sum())
-    return nm.add(nm.shift(nm.scale(cross, -1.0), entropy_term), nm.log(total))
+    return nm.student_t_kl(z_tensor, target.p, target.weights, target.p_log_p)
 
 
 def total_loss(ce, kl, lam):

@@ -26,6 +26,12 @@ class DivergenceError(RuntimeError):
     pass
 
 
+# Accepted JSON value types per RunConfig annotation; bool is an int
+# subclass, so it passes only where listed.
+_FIELD_TYPES = {"int": (int,), "int | None": (int, type(None)),
+                "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
 @dataclass
 class RunConfig:
     seed: int
@@ -56,6 +62,8 @@ class RunConfig:
             raise ConfigError("lambda must be nonnegative")
         if not (0.0 <= self.sparsity_rate < 1.0):
             raise ConfigError("sparsity_rate must be in [0, 1)")
+        if self.heads < 1 or self.decay_every < 1:
+            raise ConfigError("heads and decay_every must be positive")
         if not self.no_pmmha and self.embed_dim % self.heads != 0:
             raise ConfigError("head count must divide embedding dimension")
         if self.range_checked:
@@ -77,10 +85,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be an object, not {type(d).__name__}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in d.items():
+            allowed = _FIELD_TYPES[types[name]]
+            if not isinstance(value, allowed) or (isinstance(value, bool)
+                                                  and bool not in allowed):
+                raise ConfigError(f"config field {name!r} must be "
+                                  f"{types[name]}, not {type(value).__name__}")
         return cls(**d)
 
 
@@ -212,9 +228,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     y_train = guard.take(train_idx)
 
     lam = 0.0 if config.no_kl else config.lam
-    p_mat = valid = None
-    if lam > 0:
-        p_mat, valid = obj.build_P(sims, train_idx)
+    target = obj.build_P(sims, train_idx, dtype) if lam > 0 else None
 
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
@@ -236,7 +250,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
         ce = obj.ce_loss(logits_train, y_train)
         if lam > 0:
             z_tr = nm.select_rows(z_fused, train_idx)
-            kl = obj.kl_alignment_loss(z_tr, p_mat.astype(dtype), valid)
+            kl = obj.kl_alignment_loss(z_tr, target)
             total = obj.total_loss(ce, kl, lam)
             kl_val = float(kl.data)
         else:

@@ -1,7 +1,10 @@
 """Plain-array reference versions of the alignment objective, used by the
-tests to check the differentiable code in `magnetkit.objective`."""
+tests to check the differentiable code in `magnetkit.objective`, and a
+shared alignment target for gradient checks."""
 
 import numpy as np
+
+from magnetkit import objective as ob
 
 LOG_FLOOR = 1e-12
 
@@ -24,3 +27,13 @@ def kl_loss(p, q, valid=None):
     if valid is not None:
         mask &= valid
     return float((p[mask] * np.log(p[mask] / np.maximum(q[mask], LOG_FLOOR))).sum())
+
+
+def kl_target(n, seed):
+    """Alignment target for gradient checks: asymmetric P and one invalid
+    off-diagonal pair."""
+    rng = np.random.default_rng(seed)
+    valid = ~np.eye(n, dtype=bool)
+    valid[0, n - 1] = False
+    p = np.where(valid, rng.uniform(size=(n, n)), 0.0)
+    return ob.AlignmentTarget.of(p / p.sum(), valid)

@@ -17,7 +17,7 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit import trainer as tr
-from oracles import build_Q, kl_loss
+from oracles import build_Q, kl_loss, kl_target
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_criterion_01_gradient_correctness():
         logits, _, z_fused, _ = gnn.forward(p, mods, mask, view, cfg)
         ce = ob.ce_loss(nm.select_rows(logits, train_idx), labels)
         kl = ob.kl_alignment_loss(nm.select_rows(z_fused, train_idx),
-                                  p_mat, valid)
+                                  ob.AlignmentTarget.of(p_mat, valid))
         return ob.total_loss(ce, kl, 0.1), p.graph
 
     assert nm.grad_check(build, start) < 1e-4
@@ -127,11 +127,11 @@ def test_criterion_01_gradient_correctness():
         (lambda t: nm.sum_all(nm.relu(nm.shift(t["a"], 0.05))), {"a": (4, 3)}),
         (lambda t: nm.sum_all(nm.log(nm.shift(nm.mul(t["a"], t["a"]), 1.0))),
          {"a": (3, 3)}),
-        (lambda t: nm.sum_all(nm.reciprocal(
-            nm.shift(nm.mul(t["a"], t["a"]), 1.0))), {"a": (2, 4)}),
+        (lambda t: ob.kl_alignment_loss(t["a"], kl_target(4, seed=1)),
+         {"a": (4, 2)}),
         (lambda t: nm.sum_all(sq(nm.einsum("nmkh,hk->nmk", t["a"], t["b"]))),
          {"a": (3, 2, 2, 3), "b": (3, 2)}),
-        (lambda t: nm.sum_all(nm.squared_euclidean_pairwise(t["a"])),
+        (lambda t: ob.kl_alignment_loss(t["a"], kl_target(5, seed=2)),
          {"a": (5, 3)}),
         (lambda t: nm.sum_all(sq(nm.einsum("nmk,nmkh->nkh", t["a"], t["b"]))),
          {"a": (3, 2, 2), "b": (3, 2, 2, 3)}),
@@ -185,14 +185,14 @@ def test_criterion_03_missingness_independence():
                                   labels=labels, mask=mask,
                                   modality_names=["a", "b"], class_count=3)
         sims = gr.pairwise_similarity(ds)
-        p_mat, valid = ob.build_P(sims, train_idx)
+        target = ob.build_P(sims, train_idx)
 
         def quantities(mod_arrays):
             cfg, p, _, _, _ = pipeline_fixture(seed=trial)
             logits, _, z_fused, _ = gnn.forward(p, mod_arrays, mask, view, cfg)
             ce = ob.ce_loss(nm.select_rows(logits, train_idx), labels)
             kl = ob.kl_alignment_loss(nm.select_rows(z_fused, train_idx),
-                                      p_mat, valid)
+                                      target)
             return logits.data, float(ce.data), float(kl.data)
 
         base_logits, base_ce, base_kl = quantities(mods)
@@ -205,8 +205,9 @@ def test_criterion_03_missingness_independence():
         pert_ds = dm.MultiomicsDataset(modalities=[x.copy() for x in pert],
                                        labels=labels, mask=mask,
                                        modality_names=["a", "b"], class_count=3)
-        p2, v2 = ob.build_P(gr.pairwise_similarity(pert_ds), train_idx)
-        assert np.array_equal(p_mat, p2) and np.array_equal(valid, v2)
+        t2 = ob.build_P(gr.pairwise_similarity(pert_ds), train_idx)
+        assert (np.array_equal(target.p, t2.p)
+                and np.array_equal(target.weights, t2.weights))
         logits2, ce2, kl2 = quantities(pert)
         assert np.array_equal(base_logits, logits2)
         assert base_ce == ce2
@@ -264,7 +265,8 @@ def test_criterion_05_loss_oracles():
     vals = (vals + vals.T) / 2
     valid = np.ones((8, 8), dtype=bool)
     ids = list(range(8))
-    p_mat, vmask = ob.build_P(gr.SimilarityMatrix(vals, valid), ids)
+    target = ob.build_P(gr.SimilarityMatrix(vals, valid), ids)
+    p_mat, vmask = target.p, target.weights == 1
     aff = np.zeros((8, 8))
     for a in range(8):
         for b in range(8):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -6,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from magnetkit import cli, params_io
 from magnetkit import datamodel as dm
+from magnetkit import trainer as tr
 
 
 FAST_CONFIG = {
@@ -206,6 +209,99 @@ def test_eval_meta_without_key_is_config_error(trained_run, tmp_path, capsys,
     assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+BAD_CONFIGS = [3, "f64", [1, 2], {"heads": "x"}, {"seed": "0"},
+               {"epochs": 2.5}, {"no_kl": 1}, {"dropout": None}, {"heads": 0}]
+
+
+@pytest.mark.parametrize("config", BAD_CONFIGS)
+def test_eval_bad_meta_config_is_config_error(trained_run, tmp_path, capsys,
+                                              config):
+    values, meta = params_io.load_params(trained_run / "run" / "params.bin")
+    meta["config"] = (config if not isinstance(config, dict)
+                      else {**meta["config"], **config})
+    path = tmp_path / "bad_config.bin"
+    params_io.save_params(path, values, meta)
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", BAD_CONFIGS)
+def test_train_bad_config_file_is_config_error(tmp_path, bundle, capsys,
+                                              config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config if not isinstance(config, dict)
+                               else {"seed": 0, **FAST_CONFIG, **config}))
+    code = run(["train", "--dataset", bundle, "--config", path,
+                "--out", tmp_path / "r"])
+    assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# A value is of the right type for a RunConfig field or a meta key when it
+# passes the predicate of its annotation.
+RIGHT_TYPE = {
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int list": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+META_TYPES = {"feature_dims": "int list", "n_classes": "int",
+              "split_seed": "int", "topk": "int | None"}
+CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(tr.RunConfig)}
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def wrong_type(annotation):
+    return JSON.filter(lambda v: not RIGHT_TYPE[annotation](v))
+
+
+@st.composite
+def malformed_meta(draw, meta):
+    meta = json.loads(json.dumps(meta))
+    kind = draw(st.sampled_from(["meta", "drop", "meta_type", "config",
+                                 "config_type", "config_key"]))
+    if kind == "meta":
+        return draw(JSON.filter(lambda v: not isinstance(v, dict)))
+    if kind == "drop":
+        del meta[draw(st.sampled_from(
+            ["config", "feature_dims", "n_classes", "split_seed"]))]
+    elif kind == "meta_type":
+        key = draw(st.sampled_from(sorted(META_TYPES)))
+        meta[key] = draw(wrong_type(META_TYPES[key]))
+    elif kind == "config":
+        meta["config"] = draw(JSON.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "config_type":
+        name = draw(st.sampled_from(sorted(CONFIG_TYPES)))
+        meta["config"][name] = draw(wrong_type(CONFIG_TYPES[name]))
+    else:
+        meta["config"][draw(st.text(max_size=6).filter(
+            lambda k: k not in CONFIG_TYPES))] = draw(JSON)
+    return meta
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_fuzzed_meta_is_config_error(trained_run, capsys, data):
+    values, meta = params_io.load_params(trained_run / "run" / "params.bin")
+    path = trained_run / "fuzzed.bin"
+    params_io.save_params(path, values, data.draw(malformed_meta(meta)))
+    capsys.readouterr()
+    assert eval_with(trained_run, trained_run / "fuzz", path) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_scripts_print_help():

@@ -42,6 +42,31 @@ def brute_similarity(ds):
     return values, valid
 
 
+def outer_mask_similarity(ds):
+    """The earlier array version: a full cosine Gram per modality, masked
+    to the pairs that share it with an outer product."""
+    n = ds.n_patients
+    total = np.zeros((n, n))
+    counts = np.zeros((n, n))
+    for i in range(ds.n_modalities):
+        present = ds.mask[:, i] == 1
+        x = ds.modalities[i]
+        norms = np.linalg.norm(x, axis=1)
+        safe = np.where(norms > 0, norms, 1.0)
+        xn = x / safe[:, None]
+        xn[norms == 0] = 0.0
+        cos = xn @ xn.T
+        pair = np.outer(present, present)
+        total += np.where(pair, cos, 0.0)
+        counts += pair
+    valid = counts > 0
+    values = np.divide(total, counts, out=np.zeros_like(total), where=valid)
+    np.clip(values, -1.0, 1.0, out=values)
+    np.fill_diagonal(values, 1.0)
+    np.fill_diagonal(valid, True)
+    return values, valid
+
+
 def brute_best_neighbor(sims, u, allowed=None):
     best, best_sim = None, -np.inf
     for v in range(len(sims.values)):
@@ -123,6 +148,28 @@ def test_similarity_matches_brute_force():
         assert np.array_equal(sims.valid, ref_valid)
         assert np.allclose(sims.values[ref_valid], ref_values[ref_valid],
                            atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 80), st.integers(1, 4),
+       st.integers(1, 40), st.floats(0.0, 0.9))
+def test_similarity_bit_equal_to_outer_mask_version(seed, n, m, d, mask_rate):
+    # absent rows keep nonzero placeholder features, some up to 1e4; some
+    # present rows are all zero
+    rng = np.random.default_rng(seed)
+    mods = [rng.normal(size=(n, d)) * np.where(rng.random((n, 1)) < 0.2, 1e4, 1)
+            for _ in range(m)]
+    for x in mods:
+        x[rng.random(n) < 0.15] = 0.0
+    mask = (rng.random((n, m)) >= mask_rate).astype(int)
+    mask[mask.sum(axis=1) == 0, 0] = 1
+    ds = dm.MultiomicsDataset(modalities=mods, labels=rng.integers(0, 3, size=n),
+                              mask=mask, modality_names=[f"m{i}" for i in range(m)],
+                              class_count=3)
+    sims = gr.pairwise_similarity(ds)
+    values, valid = outer_mask_similarity(ds)
+    assert np.array_equal(sims.values, values)
+    assert np.array_equal(sims.valid, valid)
 
 
 def test_similarity_identical_patients():

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from magnetkit import gnn
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
+from magnetkit import objective as ob
+from oracles import kl_target
 
 
 def build_simple(op):
@@ -124,8 +126,14 @@ def test_einsum_forward_and_rejected_specs():
 
 def test_relu_and_pairwise():
     assert nm.relu(nm.constant([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
-    d = nm.squared_euclidean_pairwise(nm.constant([[0.0, 0.0], [3.0, 4.0]]))
-    assert d.data[0, 1] == pytest.approx(25.0)
+    # squared distances 25, 0, 25 give kernels 1/26, 1, 1/26 and S = 56/26;
+    # with P on the pair (0, 1) both ways, KL = log(1/2) + log 26 + log S
+    z = nm.constant([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+    valid = ~np.eye(3, dtype=bool)
+    p = np.zeros((3, 3))
+    p[0, 1] = p[1, 0] = 0.5
+    kl = nm.student_t_kl(z, p, valid.astype(float), np.log(0.5))
+    assert float(kl.data) == pytest.approx(np.log(28.0), abs=1e-12)
 
 
 def test_concat_and_slice_roundtrip():
@@ -229,11 +237,10 @@ def _square(t):
     (lambda t: nm.sum_all(nm.relu(nm.shift(t["x"], 0.05))), {"x": (4, 3)}),
     (lambda t: nm.sum_all(nm.log(nm.shift(nm.mul(t["x"], t["x"]), 1.0))),
      {"x": (3, 3)}),
-    (lambda t: nm.sum_all(nm.reciprocal(nm.shift(nm.mul(t["x"], t["x"]), 1.0))),
-     {"x": (2, 5)}),
+    (lambda t: ob.kl_alignment_loss(t["x"], kl_target(4, seed=1)), {"x": (4, 2)}),
     (lambda t: nm.sum_all(_square(nm.einsum("nmkh,hk->nmk", t["x"], t["w"]))),
      {"x": (3, 2, 2, 3), "w": (3, 2)}),
-    (lambda t: nm.sum_all(nm.squared_euclidean_pairwise(t["x"])), {"x": (5, 3)}),
+    (lambda t: ob.kl_alignment_loss(t["x"], kl_target(5, seed=2)), {"x": (5, 3)}),
     (lambda t: nm.sum_all(_square(nm.einsum("nmk,nmkh->nkh", t["a"], t["x"]))),
      {"a": (3, 2, 2), "x": (3, 2, 2, 3)}),
     (lambda t: nm.sum_all(nm.add(t["x"], t["b"])), {"x": (3, 4), "b": (4,)}),

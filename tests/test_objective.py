@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
-from oracles import build_Q, kl_loss
+from oracles import build_Q, kl_loss, kl_target
 
 
 def sims_from_values(values, valid=None):
@@ -74,7 +74,8 @@ def test_ce_matches_brute_force():
 
 def test_build_P_single_pair():
     sims = sims_from_values([[1.0, 1.0], [1.0, 1.0]])
-    p, valid = ob.build_P(sims, [0, 1])
+    target = ob.build_P(sims, [0, 1])
+    p, valid = target.p, target.weights == 1
     assert p[0, 1] == pytest.approx(0.5)  # two ordered pairs share the mass
     assert p[0, 0] == 0.0
     assert valid[0, 1] and not valid[0, 0]
@@ -82,7 +83,8 @@ def test_build_P_single_pair():
 
 def test_build_P_orthogonal_patients_uniform():
     vals = np.eye(3)
-    p, valid = ob.build_P(sims_from_values(vals), [0, 1, 2])
+    target = ob.build_P(sims_from_values(vals), [0, 1, 2])
+    p, valid = target.p, target.weights == 1
     off = p[valid]
     assert np.allclose(off, 1.0 / 6.0)
 
@@ -96,7 +98,7 @@ def test_build_P_matches_brute_force():
     valid[np.arange(6), np.arange(6)] = True
     valid[0, 1] = valid[1, 0] = True  # keep at least one valid pair
     ids = [0, 1, 3, 5]
-    p, vmask = ob.build_P(sims_from_values(vals, valid), ids)
+    p = ob.build_P(sims_from_values(vals, valid), ids).p
     ref = brute_P(vals, valid, ids)
     assert np.allclose(p, ref, atol=1e-12)
     assert abs(p.sum() - 1.0) < 1e-9
@@ -173,7 +175,7 @@ def test_kl_alignment_matches_plain_computation():
     valid = ~np.eye(6, dtype=bool)
     p = np.where(valid, p_raw, 0.0)
     p = p / p.sum()
-    loss = ob.kl_alignment_loss(nm.constant(z), p, valid)
+    loss = ob.kl_alignment_loss(nm.constant(z), ob.AlignmentTarget.of(p, valid))
     ref = kl_loss(p, build_Q(z, valid), valid)
     assert float(loss.data) == pytest.approx(ref, abs=1e-10)
 
@@ -187,7 +189,7 @@ def test_kl_alignment_gradient():
     def build(values):
         g = nm.ComputeGraph()
         z = g.add_parameter("z", values["z"])
-        return ob.kl_alignment_loss(z, p, valid), g
+        return ob.kl_alignment_loss(z, ob.AlignmentTarget.of(p, valid)), g
 
     assert nm.grad_check(build, {"z": rng.normal(size=(5, 3))}) < 1e-4
 
@@ -198,7 +200,7 @@ def test_kl_alignment_minimized_when_q_matches_p():
     z = rng.normal(size=(5, 2))
     valid = ~np.eye(5, dtype=bool)
     p = build_Q(z, valid)  # P := Q(z) exactly
-    loss = ob.kl_alignment_loss(nm.constant(z), p, valid)
+    loss = ob.kl_alignment_loss(nm.constant(z), ob.AlignmentTarget.of(p, valid))
     assert float(loss.data) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -230,7 +232,67 @@ def test_total_loss_gradient_includes_both_paths():
         z = g.add_parameter("z", values["z"])
         logits = nm.matmul(z, nm.constant(w_dec))
         ce = ob.ce_loss(logits, labels)
-        kl = ob.kl_alignment_loss(z, p, valid)
+        kl = ob.kl_alignment_loss(z, ob.AlignmentTarget.of(p, valid))
         return ob.total_loss(ce, kl, 0.1), g
 
     assert nm.grad_check(build, {"z": rng.normal(size=(5, 3))}) < 1e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 12))
+def test_kl_alignment_matches_oracle_property(seed, n):
+    # asymmetric P on a valid set with invalid off-diagonal pairs; two
+    # valid pairs at least, since with one Q is constant and the gradient 0
+    rng = np.random.default_rng(seed)
+    valid = rng.random((n, n)) < 0.7
+    np.fill_diagonal(valid, False)
+    valid[0, 1] = valid[1, 2] = True
+    valid[1, 0] = False
+    p_raw = np.where(valid, rng.uniform(size=(n, n)), 0.0)
+    p = p_raw / p_raw.sum()
+    target = ob.AlignmentTarget.of(p, valid)
+    z0 = rng.normal(size=(n, 3))
+    loss = ob.kl_alignment_loss(nm.constant(z0), target)
+    assert float(loss.data) == pytest.approx(
+        kl_loss(p, build_Q(z0, valid), valid), abs=1e-10)
+
+    def build(values):
+        g = nm.ComputeGraph()
+        z = g.add_parameter("z", values["z"])
+        return ob.kl_alignment_loss(z, target), g
+
+    assert nm.grad_check(build, {"z": z0}) < 1e-4
+
+
+def test_kl_alignment_is_one_tape_node():
+    z = nm.constant(np.random.default_rng(8).normal(size=(4, 2)))
+    loss = ob.kl_alignment_loss(z, kl_target(4, seed=8))
+    assert loss.parents == (z,) and loss.data.shape == ()
+
+
+def test_kl_alignment_f32_matches_f64():
+    rng = np.random.default_rng(9)
+    valid = ~np.eye(8, dtype=bool)
+    valid[2, 5] = False
+    sims = sims_from_values(np.clip(rng.normal(size=(8, 8)), -1, 1), valid)
+    ids = np.arange(8)
+    t64 = ob.build_P(sims, ids)
+    t32 = ob.build_P(sims, ids, np.float32)
+    assert t32.p.dtype == t32.weights.dtype == np.float32
+    z = rng.normal(size=(8, 3))
+    l64 = ob.kl_alignment_loss(nm.constant(z), t64)
+    l32 = ob.kl_alignment_loss(nm.constant(z.astype(np.float32)), t32)
+    assert l32.data.dtype == np.float32 and l32.data.shape == ()
+    assert float(l32.data) == pytest.approx(float(l64.data), rel=1e-5)
+
+
+def test_kl_alignment_shape_mismatch_raises():
+    target = kl_target(4, seed=9)
+    with pytest.raises(nm.NumericsError):
+        ob.kl_alignment_loss(nm.constant(np.zeros((5, 2))), target)
+    with pytest.raises(nm.NumericsError):
+        ob.kl_alignment_loss(nm.constant(np.zeros(4)), target)
+    short = ob.AlignmentTarget(p=target.p, weights=target.weights[:3],
+                               p_log_p=target.p_log_p)
+    with pytest.raises(nm.NumericsError):
+        ob.kl_alignment_loss(nm.constant(np.zeros((4, 2))), short)
