@@ -19,6 +19,7 @@ import numpy as np
 
 from . import datamodel as dm
 from . import fusion as fu
+from . import gnn
 from . import graph as pg
 from . import params_io
 from . import trainer as tr
@@ -171,9 +172,16 @@ def _rebuild_trained(params_path):
     if wrong:
         raise params_io.ParamsIOError(
             f"params meta has a wrong type for {', '.join(wrong)}")
+    if min(dims, default=0) < 1 or meta["n_classes"] < 1:
+        raise params_io.ParamsIOError(
+            "params meta needs positive feature_dims and n_classes")
     config = tr.RunConfig.from_dict(meta["config"])
-    trained = tr.TrainedModel(values=values, config=config,
-                              feature_dims=meta["feature_dims"],
+    params = gnn.init_model(dims, meta["n_classes"], config,
+                            np.random.default_rng(0))
+    params_io.check_table(values, {name: p.shape for name, p
+                                   in params.graph.params.items()})
+    params.graph.set_values(values)
+    trained = tr.TrainedModel(params=params, config=config, feature_dims=dims,
                               n_classes=meta["n_classes"],
                               report=tr.TrainReport())
     return trained, meta

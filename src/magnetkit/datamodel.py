@@ -130,41 +130,40 @@ def load_csv(modality_paths, label_path, modality_names=None):
     ordered by sorted ID for determinism.
     """
     labels_by_id = {}
-    with open(label_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError("empty label file")
-        for row in reader:
-            if not row:
-                continue
-            pid, lab = row[0], row[1]
-            if pid in labels_by_id:
-                raise DataError(f"duplicate patient id {pid!r} in labels")
+    header, rows = _read_csv(label_path)
+    if header is None:
+        raise DataError("empty label file")
+    for row in rows:
+        if len(row) != 2:
+            raise DataError(f"label row {row[:3]!r} does not hold exactly a "
+                            f"patient id and a label")
+        pid, lab = row
+        if pid in labels_by_id:
+            raise DataError(f"duplicate patient id {pid!r} in labels")
+        try:
             labels_by_id[pid] = int(lab)
+        except ValueError:
+            raise DataError(f"non-integer label {lab!r} for {pid!r}") from None
     if not labels_by_id:
         raise DataError("label file has no rows")
 
     per_modality = []
     feature_names = []
     for path in modality_paths:
+        header, body = _read_csv(path)
+        if header is None or len(header) < 2:
+            raise DataError(f"{path} has no feature columns")
         rows = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            feats = header[1:]
-            for row in reader:
-                if not row:
-                    continue
-                pid = row[0]
-                if pid in rows:
-                    raise DataError(f"duplicate patient id {pid!r} in {path}")
-                try:
-                    rows[pid] = [float(v) if v != "" else math.nan for v in row[1:]]
-                except ValueError as exc:
-                    raise DataError(f"non-numeric feature in {path}: {exc}") from None
+        for row in body:
+            pid = row[0]
+            if pid in rows:
+                raise DataError(f"duplicate patient id {pid!r} in {path}")
+            try:
+                rows[pid] = [float(v) if v != "" else math.nan for v in row[1:]]
+            except ValueError as exc:
+                raise DataError(f"non-numeric feature in {path}: {exc}") from None
         per_modality.append(rows)
-        feature_names.append(feats)
+        feature_names.append(header[1:])
 
     ids = sorted(labels_by_id)
     mask = np.zeros((len(ids), len(modality_paths)), dtype=np.int64)
@@ -190,6 +189,16 @@ def load_csv(modality_paths, label_path, modality_names=None):
     return MultiomicsDataset(
         modalities=mats, labels=labels, mask=mask, modality_names=names,
         class_count=int(labels.max()) + 1, patient_ids=ids)
+
+
+def _read_csv(path):
+    """Header row (None for an empty file) and the non-blank rows."""
+    with open(path, newline="") as fh:
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV {path}: {exc}") from None
+    return (rows[0], rows[1:]) if rows else (None, [])
 
 
 def save_csv(ds, out_dir, manifest_extra=None):
@@ -228,7 +237,11 @@ def save_csv(ds, out_dir, manifest_extra=None):
 def load_bundle(bundle_dir):
     with open(os.path.join(bundle_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
-    names = manifest["modality_names"]
+    names = manifest.get("modality_names") if isinstance(manifest, dict) else None
+    if (not isinstance(names, list) or not names
+            or not all(isinstance(n, str) for n in names)):
+        raise DataError("manifest.json needs modality_names, a non-empty list "
+                        "of strings")
     paths = [os.path.join(bundle_dir, f"{n}.csv") for n in names]
     return load_csv(paths, os.path.join(bundle_dir, "labels.csv"), modality_names=names)
 

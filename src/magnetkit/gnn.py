@@ -94,8 +94,9 @@ class ModelParams:
 
 
 def init_model(feature_dims, n_classes, config, rng):
-    """Build the parameter registry for the full pipeline under a RunConfig."""
-    g = nm.ComputeGraph()
+    """Build the parameter registry for the full pipeline under a RunConfig,
+    every parameter in the run dtype."""
+    g = nm.ComputeGraph(config.dtype)
     hidden = config.encoder_hidden or config.embed_dim
     encoders = fu.init_encoder_params(g, feature_dims, hidden, config.embed_dim, rng)
     attention = None

@@ -27,9 +27,10 @@ class NumericsError(ValueError):
 class Tensor:
     """Node in the implicit compute tape.
 
-    ``data`` is a row-major numpy array, immutable by convention after
-    creation. Non-leaf tensors carry references to their parents and a
-    backward closure.
+    ``data`` is a row-major numpy array. A parameter's array is the one
+    live copy of its weights and the optimizer updates it in place; no
+    other node's array is written after creation. Non-leaf tensors carry
+    references to their parents and a backward closure.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "parents", "_backward", "op")
@@ -58,12 +59,8 @@ class Tensor:
         return f"Tensor(op={self.op}, shape={self.data.shape})"
 
 
-def constant(data, checked=False):
-    return Tensor(data, requires_grad=False, op="const", checked=checked)
-
-
-def parameter(data):
-    return Tensor(np.array(data, copy=True), requires_grad=True, op="param")
+def constant(data):
+    return Tensor(data, requires_grad=False, op="const")
 
 
 class ComputeGraph:
@@ -73,19 +70,19 @@ class ComputeGraph:
     tracks which leaves are trainable parameters.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=DEFAULT_DTYPE):
         self.params = {}
-
-    def register(self, name, tensor):
-        if name in self.params:
-            raise NumericsError(f"duplicate parameter name {name!r}")
-        if not tensor.requires_grad:
-            raise NumericsError(f"parameter {name!r} must require grad")
-        self.params[name] = tensor
-        return tensor
+        self.dtype = dtype
 
     def add_parameter(self, name, data):
-        return self.register(name, parameter(data))
+        """Register a trainable leaf holding a copy of ``data`` in the
+        registry's dtype."""
+        if name in self.params:
+            raise NumericsError(f"duplicate parameter name {name!r}")
+        p = Tensor(np.array(data, dtype=self.dtype), requires_grad=True,
+                   op="param")
+        self.params[name] = p
+        return p
 
     def backward(self, loss):
         """Reverse-mode gradients of a scalar loss for all registered parameters."""
@@ -136,7 +133,7 @@ def _toposort(root):
 
 def _accum(tensor, grad):
     if tensor.grad is None:
-        tensor.grad = grad.copy()
+        tensor.grad = grad
     else:
         tensor.grad = tensor.grad + grad
 
@@ -172,17 +169,6 @@ def add(a, b):
     return Tensor(a.data + b.data, parents=(a, b), backward=backward, op="add")
 
 
-def mul(a, b):
-    if a.data.shape != b.data.shape:
-        raise NumericsError(f"mul shape mismatch {a.shape} * {b.shape}")
-
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return Tensor(a.data * b.data, parents=(a, b), backward=backward, op="mul")
-
-
 def scale(a, c):
     c = float(c)
 
@@ -192,15 +178,6 @@ def scale(a, c):
     return Tensor(a.data * c, parents=(a,), backward=backward, op="scale")
 
 
-def shift(a, c):
-    c = float(c)
-
-    def backward(g):
-        _accum(a, g)
-
-    return Tensor(a.data + c, parents=(a,), backward=backward, op="shift")
-
-
 def relu(a):
     keep = a.data > 0
 
@@ -208,20 +185,6 @@ def relu(a):
         _accum(a, g * keep)
 
     return Tensor(a.data * keep, parents=(a,), backward=backward, op="relu")
-
-
-def log(a):
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return Tensor(np.log(a.data), parents=(a,), backward=backward, op="log")
-
-
-def sum_all(a):
-    def backward(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return Tensor(a.data.sum(), parents=(a,), backward=backward, op="sum_all")
 
 
 def concat_last_dim(tensors):
@@ -395,44 +358,3 @@ def student_t_kl(z, p, weights, p_log_p):
 
     value = np.asarray(p_log_p + cross + np.log(s), dtype=x.dtype)
     return Tensor(value, parents=(z,), backward=backward, op="student_t_kl")
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def grad_check(build_loss, param_values, eps=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``build_loss`` maps a dict of plain numpy parameter values to a
-    ``(loss Tensor, ComputeGraph)`` pair; it is re-invoked at perturbed
-    parameter values for the numeric side.
-    """
-    loss, graph = build_loss(param_values)
-    if not np.isfinite(loss.data):
-        raise NumericsError("non-finite loss in grad_check")
-    analytic = graph.backward(loss)
-
-    def eval_at(values):
-        l, _ = build_loss(values)
-        v = float(l.data)
-        if not np.isfinite(v):
-            raise NumericsError("non-finite loss during finite differences")
-        return v
-
-    max_err = 0.0
-    for name, base in param_values.items():
-        base = np.asarray(base, dtype=DEFAULT_DTYPE)
-        flat = base.ravel()
-        for j in range(flat.size):
-            bumped = {k: np.array(v, dtype=DEFAULT_DTYPE, copy=True)
-                      for k, v in param_values.items()}
-            bumped[name].ravel()[j] = flat[j] + eps
-            up = eval_at(bumped)
-            bumped[name].ravel()[j] = flat[j] - eps
-            down = eval_at(bumped)
-            numeric = (up - down) / (2.0 * eps)
-            a = analytic[name].ravel()[j]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
-            max_err = max(max_err, err)
-    return max_err

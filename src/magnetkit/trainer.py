@@ -15,7 +15,6 @@ from . import gnn
 from . import graph as pg
 from . import numerics as nm
 from . import objective as obj
-from . import params_io
 
 
 class ConfigError(ValueError):
@@ -123,19 +122,26 @@ class AdamState:
 
 
 def adam_step(values, grads, state, lr):
-    """Standard bias-corrected Adam update; mutates values and state in place."""
+    """Standard bias-corrected Adam update, written into the arrays of
+    ``values`` and the moments of ``state`` in place."""
     state.step += 1
     t = state.step
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for {name!r}")
         g = g.astype(values[name].dtype, copy=False)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * (g * g)
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return values, state
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * (g * g)
+        step = m / (1 - state.beta1 ** t)
+        step *= lr
+        denom = v / (1 - state.beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        values[name] -= step
 
 
 class LabelGuard:
@@ -144,7 +150,7 @@ class LabelGuard:
 
     def __init__(self, labels, allowed, strict=True):
         self._labels = np.asarray(labels)
-        self._allowed = set(int(i) for i in np.asarray(allowed).ravel())
+        self._allowed = np.asarray(allowed, dtype=np.int64).ravel()
         self.reads = 0
         self.violations = 0
         self.strict = strict
@@ -152,11 +158,12 @@ class LabelGuard:
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
         self.reads += len(idx)
-        bad = [int(i) for i in idx if int(i) not in self._allowed]
-        if bad:
+        bad = idx[~np.isin(idx, self._allowed)]
+        if len(bad):
             self.violations += len(bad)
             if self.strict:
-                raise RuntimeError(f"read of out-of-split label index {bad[:3]}")
+                raise RuntimeError(
+                    f"read of out-of-split label index {bad[:3].tolist()}")
         return self._labels[idx]
 
 
@@ -176,26 +183,16 @@ class TrainReport:
 
 @dataclass
 class TrainedModel:
-    values: dict
+    params: gnn.ModelParams
     config: RunConfig
     feature_dims: list
     n_classes: int
     report: TrainReport
 
-    def build(self):
-        """Reinstantiate the parameter registry with the trained values."""
-        params = gnn.init_model(self.feature_dims, self.n_classes, self.config,
-                                np.random.default_rng(0))
-        _cast_params(params.graph, self.config.dtype)
-        params_io.check_table(self.values, {name: p.data.shape for name, p
-                                            in params.graph.params.items()})
-        params.graph.set_values(self.values)
-        return params
-
-
-def _cast_params(compute_graph, dtype):
-    for p in compute_graph.params.values():
-        p.data = p.data.astype(dtype)
+    @property
+    def values(self):
+        """The trained weights by parameter name (the model's own arrays)."""
+        return self.params.graph.values()
 
 
 def _count_crossing(g, tags, train_side):
@@ -232,7 +229,6 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
 
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
-    _cast_params(params.graph, dtype)
     mods = [x.astype(dtype) for x in ds.modalities]
     values = params.graph.values()
     adam = AdamState.for_params(values)
@@ -260,15 +256,13 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
         if not np.isfinite(total_val):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         grads = params.graph.backward(total)
-        values, adam = adam_step(values, grads, adam, lr)
-        params.graph.set_values(values)
+        adam_step(values, grads, adam, lr)
         report.loss_log.append((epoch, float(ce.data), kl_val, total_val, lr))
     report.train_seconds = time.perf_counter() - started
     report.train_label_reads = guard.reads
     report.label_violations = guard.violations
 
-    trained = TrainedModel(values={k: v.copy() for k, v in values.items()},
-                           config=config,
+    trained = TrainedModel(params=params, config=config,
                            feature_dims=[x.shape[1] for x in ds.modalities],
                            n_classes=ds.class_count, report=report)
     report.final_train_metrics = evaluate(trained, ds, split_assignment,
@@ -296,10 +290,9 @@ def evaluate(trained, ds, split_assignment, split_name,
     g = pg.build_graph(ds, sims, config.sparsity_rate)
     view = gnn.GraphView.from_graph(g, edge_features_on=not config.no_edge_feature,
                                     dtype=config.dtype)
-    params = trained.build()
     mods = [x.astype(config.dtype) for x in ds.modalities]
-    logits, state, _, z_final = gnn.forward(params, mods, ds.mask, view, config,
-                                            training=False)
+    logits, state, _, z_final = gnn.forward(trained.params, mods, ds.mask,
+                                            view, config, training=False)
     lg = logits.data[idx]
     shifted = lg - lg.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
@@ -385,12 +378,16 @@ def run_scalability_bench(config, m_values=range(2, 11), mask_p=0.5, repeats=5,
                           n=500, features_per_modality=1000):
     """Wall-clock training time per modality count, plus a linear fit.
 
-    A short untimed run on the first case comes first, so the cold start
-    (BLAS thread start-up, first-touch allocations) is not charged to it.
+    Each repeat sweeps every modality count, so a slow phase of the machine
+    spreads over all of them instead of bending the line at a few
+    neighbouring counts. A short untimed run on the first case comes first,
+    so the cold start (BLAS thread start-up, first-touch allocations) is not
+    charged to it. Rows come back in (modality count, repeat) order.
     """
-    rows = []
-    for m in m_values:
-        for rep in range(repeats):
+    m_values = list(m_values)
+    timed = {}
+    for rep in range(repeats):
+        for i, m in enumerate(m_values):
             seed = int(config.seed + 1000 * rep + m)
             ds = dm.gen_scalability(n=n, modalities=int(m),
                                     features_per_modality=features_per_modality,
@@ -399,11 +396,12 @@ def run_scalability_bench(config, m_values=range(2, 11), mask_p=0.5, repeats=5,
             masked = dm.apply_scenario(ds, spec)
             prepped, assignment = _prepare(masked, seed)
             cfg = replace(config, seed=seed)
-            if not rows:
+            if not timed:
                 train(prepped, replace(cfg, epochs=min(cfg.epochs, 2)), assignment)
             _, report = train(prepped, cfg, assignment)
-            rows.append({"M": int(m), "repeat": rep,
-                         "seconds": report.train_seconds})
+            timed[i, rep] = {"M": int(m), "repeat": rep,
+                             "seconds": report.train_seconds}
+    rows = [timed[key] for key in sorted(timed)]
     fit = linear_fit([r["M"] for r in rows], [r["seconds"] for r in rows])
     return rows, fit
 

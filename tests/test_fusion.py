@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from magnetkit import fusion as fu
 from magnetkit import numerics as nm
+from oracles import grad_check, mul, sum_all
 
 
 def make_encoders(graph, dims, hidden, d, seed=0):
@@ -40,11 +41,11 @@ def test_encode_gradient():
                 g.add_parameter("w2", values["w2"]),
                 g.add_parameter("b2", values["b2"]))]
         h = fu.encode([x], enc)[0]
-        return nm.sum_all(nm.mul(h, h)), g
+        return sum_all(mul(h, h)), g
 
     values = {"w1": rng.normal(size=(3, 5)), "b1": rng.normal(size=5),
               "w2": rng.normal(size=(5, 2)), "b2": rng.normal(size=2)}
-    assert nm.grad_check(build, values) < 1e-4
+    assert grad_check(build, values) < 1e-4
 
 
 def brute_single_head(h_arrays, mask, w_lin, w_att):
@@ -232,13 +233,13 @@ def test_multi_head_gradient_check():
             }
             _, z = fu.fuse_multi_head([nm.constant(x) for x in h_arrays],
                                       mask, params)
-            return nm.sum_all(nm.mul(z, z)), g
+            return sum_all(mul(z, z)), g
 
         values = {"w_lin": rng.normal(size=(4, 4)),
                   "w_out": rng.normal(size=(4, 4))}
         for k in range(heads):
             values[f"w_att{k}"] = rng.normal(size=(4 // heads, 1))
-        assert nm.grad_check(build, values) < 1e-4
+        assert grad_check(build, values) < 1e-4
 
 
 def test_missingness_independence_of_fused_embedding():

@@ -7,7 +7,7 @@ from magnetkit import gnn
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
-from oracles import kl_target
+from oracles import grad_check, kl_target, log, mul, shift, sum_all
 
 
 def build_simple(op):
@@ -38,8 +38,8 @@ def test_matmul_shape_error():
 def test_matmul_gradient_vs_finite_differences():
     rng = np.random.default_rng(0)
     values = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=(4, 3))}
-    err = nm.grad_check(
-        build_simple(lambda t: nm.sum_all(nm.matmul(t["a"], t["b"]))), values)
+    err = grad_check(
+        build_simple(lambda t: sum_all(nm.matmul(t["a"], t["b"]))), values)
     assert err < 1e-6
 
 
@@ -78,7 +78,7 @@ def test_masked_softmax_contract(seed):
     p = nm.masked_softmax(t, mask)
     assert np.all(p.data[mask == 0] == 0.0)
     assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
-    grads = g.backward(nm.sum_all(nm.mul(p, p)))
+    grads = g.backward(sum_all(mul(p, p)))
     assert np.all(grads["logits"][mask == 0] == 0.0)
 
 
@@ -95,7 +95,7 @@ def test_masked_softmax_3d_contract(seed):
     g = nm.ComputeGraph()
     t = g.add_parameter("logits", logits)
     p = nm.masked_softmax(t, mask)
-    grads = g.backward(nm.sum_all(nm.mul(p, p)))
+    grads = g.backward(sum_all(mul(p, p)))
     for head in range(k):
         assert np.all(p.data[:, :, head][mask == 0] == 0.0)
         assert np.all(grads["logits"][:, :, head][mask == 0] == 0.0)
@@ -149,7 +149,7 @@ def test_concat_and_slice_roundtrip():
 def test_backward_sum_gives_ones():
     g = nm.ComputeGraph()
     w = g.add_parameter("w", np.ones((2, 2)))
-    grads = g.backward(nm.sum_all(w))
+    grads = g.backward(sum_all(w))
     assert np.array_equal(grads["w"], np.ones((2, 2)))
 
 
@@ -160,7 +160,7 @@ def test_backward_quadratic_closed_form():
     g = nm.ComputeGraph()
     w = g.add_parameter("w", w0)
     y = nm.matmul(w, nm.constant(x))
-    grads = g.backward(nm.sum_all(nm.mul(y, y)))
+    grads = g.backward(sum_all(mul(y, y)))
     assert np.allclose(grads["w"], 2.0 * (w0 @ x) @ x.T, atol=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_unreachable_parameter_gets_zeros():
     g = nm.ComputeGraph()
     w = g.add_parameter("w", np.ones((2,)))
     unused = g.add_parameter("unused", np.ones((3,)))
-    grads = g.backward(nm.sum_all(w))
+    grads = g.backward(sum_all(w))
     assert np.array_equal(grads["unused"], np.zeros(3))
 
 
@@ -187,7 +187,7 @@ def test_backward_deterministic():
         g = nm.ComputeGraph()
         a = g.add_parameter("a", values["a"])
         b = g.add_parameter("b", values["b"])
-        loss = nm.sum_all(nm.relu(nm.matmul(a, b)))
+        loss = sum_all(nm.relu(nm.matmul(a, b)))
         return g.backward(loss)
 
     g1, g2 = run(), run()
@@ -199,9 +199,9 @@ def test_grad_check_quadratic():
     def build(values):
         g = nm.ComputeGraph()
         x = g.add_parameter("x", values["x"])
-        return nm.sum_all(nm.mul(x, x)), g
+        return sum_all(mul(x, x)), g
 
-    err = nm.grad_check(build, {"x": np.array([1.0, -2.0, 0.5])})
+    err = grad_check(build, {"x": np.array([1.0, -2.0, 0.5])})
     assert err < 1e-8
 
 
@@ -213,10 +213,10 @@ def test_grad_check_masked_softmax_ce():
         g = nm.ComputeGraph()
         logits = g.add_parameter("logits", values["logits"])
         p = nm.masked_softmax(logits, mask)
-        return nm.cross_entropy_sum(nm.shift(p, 0.1), labels), g
+        return nm.cross_entropy_sum(shift(p, 0.1), labels), g
 
     rng = np.random.default_rng(3)
-    err = nm.grad_check(build, {"logits": rng.normal(size=(2, 3))})
+    err = grad_check(build, {"logits": rng.normal(size=(2, 3))})
     assert err < 1e-5
 
 
@@ -224,36 +224,36 @@ def test_grad_check_constant_function():
     def build(values):
         g = nm.ComputeGraph()
         g.add_parameter("x", values["x"])
-        return nm.sum_all(nm.constant(np.zeros(2))), g
+        return sum_all(nm.constant(np.zeros(2))), g
 
-    assert nm.grad_check(build, {"x": np.array([1.0, 2.0])}) == 0.0
+    assert grad_check(build, {"x": np.array([1.0, 2.0])}) == 0.0
 
 
 def _square(t):
-    return nm.mul(t, t)
+    return mul(t, t)
 
 
 @pytest.mark.parametrize("op,shapes", [
-    (lambda t: nm.sum_all(nm.relu(nm.shift(t["x"], 0.05))), {"x": (4, 3)}),
-    (lambda t: nm.sum_all(nm.log(nm.shift(nm.mul(t["x"], t["x"]), 1.0))),
+    (lambda t: sum_all(nm.relu(shift(t["x"], 0.05))), {"x": (4, 3)}),
+    (lambda t: sum_all(log(shift(mul(t["x"], t["x"]), 1.0))),
      {"x": (3, 3)}),
     (lambda t: ob.kl_alignment_loss(t["x"], kl_target(4, seed=1)), {"x": (4, 2)}),
-    (lambda t: nm.sum_all(_square(nm.einsum("nmkh,hk->nmk", t["x"], t["w"]))),
+    (lambda t: sum_all(_square(nm.einsum("nmkh,hk->nmk", t["x"], t["w"]))),
      {"x": (3, 2, 2, 3), "w": (3, 2)}),
     (lambda t: ob.kl_alignment_loss(t["x"], kl_target(5, seed=2)), {"x": (5, 3)}),
-    (lambda t: nm.sum_all(_square(nm.einsum("nmk,nmkh->nkh", t["a"], t["x"]))),
+    (lambda t: sum_all(_square(nm.einsum("nmk,nmkh->nkh", t["a"], t["x"]))),
      {"a": (3, 2, 2), "x": (3, 2, 2, 3)}),
-    (lambda t: nm.sum_all(nm.add(t["x"], t["b"])), {"x": (3, 4), "b": (4,)}),
+    (lambda t: sum_all(nm.add(t["x"], t["b"])), {"x": (3, 4), "b": (4,)}),
     (lambda t: nm.cross_entropy_sum(t["x"], np.array([0, 2, 1])), {"x": (3, 3)}),
-    (lambda t: nm.sum_all(nm.select_rows(t["x"], np.array([0, 2, 2]))),
+    (lambda t: sum_all(nm.select_rows(t["x"], np.array([0, 2, 2]))),
      {"x": (4, 3)}),
-    (lambda t: nm.sum_all(_square(nm.einsum("nm,nmd->nd", t["w"], t["x"]))),
+    (lambda t: sum_all(_square(nm.einsum("nm,nmd->nd", t["w"], t["x"]))),
      {"w": (3, 2), "x": (3, 2, 4)}),
 ])
 def test_per_op_gradients(op, shapes):
     rng = np.random.default_rng(7)
     values = {k: rng.normal(size=s) for k, s in shapes.items()}
-    assert nm.grad_check(build_simple(op), values) < 1e-6
+    assert grad_check(build_simple(op), values) < 1e-6
 
 
 @settings(max_examples=20, deadline=None)
@@ -269,10 +269,10 @@ def test_composite_gradients_match_finite_differences(seed):
         x = nm.constant(rng_input)
         h = nm.relu(nm.matmul(x, w))
         att = nm.masked_softmax(h, mask)
-        return nm.sum_all(nm.mul(att, att)), g
+        return sum_all(mul(att, att)), g
 
     rng_input = rng.normal(size=(3, 3))
-    err = nm.grad_check(build, {"w": rng.normal(size=(3, 3))})
+    err = grad_check(build, {"w": rng.normal(size=(3, 3))})
     assert err < 1e-4
 
 
@@ -283,7 +283,7 @@ def test_sparse_matmul_and_selectors():
     out = nm.sparse_matmul_const(mat, x)
     assert np.array_equal(out.data, mat.toarray() @ x.data)
     w = np.array([[1.0, 2.0], [3.0, -1.0]])
-    grads = g.backward(nm.sum_all(nm.mul(out, nm.constant(w))))
+    grads = g.backward(sum_all(mul(out, nm.constant(w))))
     assert np.allclose(grads["x"], mat.toarray().T @ w)
 
     # path 0-1-2 plus isolated node 3: rows average the neighbours, node 3

@@ -66,8 +66,45 @@ def test_adam_minimizes_quadratic():
     state = tr.AdamState.for_params(values)
     for _ in range(800):
         grads = {"x": 2.0 * values["x"]}
-        values, state = tr.adam_step(values, grads, state, lr=0.05)
+        tr.adam_step(values, grads, state, lr=0.05)
     assert np.all(np.abs(values["x"]) < 1e-3)
+
+
+def reference_adam(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
+                   eps=1e-8):
+    """Out-of-place Adam: new value, first and second moment arrays."""
+    out = {}
+    for name, g in grads.items():
+        g = g.astype(values[name].dtype, copy=False)
+        m[name] = beta1 * m[name] + (1 - beta1) * g
+        v[name] = beta2 * v[name] + (1 - beta2) * (g * g)
+        m_hat = m[name] / (1 - beta1 ** t)
+        v_hat = v[name] / (1 - beta2 ** t)
+        out[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_in_place_bit_equal_to_out_of_place(dtype):
+    rng = np.random.default_rng(0)
+    values = {"w": rng.normal(size=(7, 5)).astype(dtype),
+              "b": rng.normal(size=5).astype(dtype)}
+    arrays = dict(values)
+    ref = {k: a.copy() for k, a in values.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    state = tr.AdamState.for_params(values)
+    for t in range(1, 41):
+        grads = {k: rng.normal(size=a.shape) for k, a in ref.items()}
+        lr = 1e-2 * 0.8 ** (t // 10)
+        tr.adam_step(values, grads, state, lr)
+        ref = reference_adam(ref, grads, m, v, t, lr)
+        for k in ref:
+            assert values[k] is arrays[k]
+            assert values[k].dtype == dtype
+            assert np.array_equal(values[k], ref[k])
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v[k])
 
 
 def test_adam_rejects_nonfinite_gradient():
@@ -152,6 +189,20 @@ def test_f32_precision_casts_parameters():
     assert all(v.dtype == np.float32 for v in trained.values.values())
 
 
+def test_trained_values_are_the_model_arrays(monkeypatch):
+    ds, assignment = prepared(seed=6)
+    cfg = tr.RunConfig(seed=6, **{**FAST, "epochs": 3})
+    trained, _ = tr.train(ds, cfg, assignment)
+    for name, p in trained.params.graph.params.items():
+        assert trained.values[name] is p.data
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("evaluate rebuilt the model")
+
+    monkeypatch.setattr(tr.gnn, "init_model", no_rebuild)
+    tr.evaluate(trained, ds, assignment, dm.TEST)
+
+
 def test_evaluate_uses_full_graph_and_is_deterministic():
     ds, assignment = prepared(seed=7)
     cfg = tr.RunConfig(seed=7, **FAST)
@@ -231,6 +282,24 @@ def test_linear_fit_recovers_line():
     assert fit["slope"] == pytest.approx(2.0)
     assert fit["intercept"] == pytest.approx(0.0, abs=1e-9)
     assert fit["r2"] == pytest.approx(1.0)
+
+
+def test_scalability_bench_sweeps_every_m_per_repeat(monkeypatch):
+    calls = []
+
+    def fake_train(ds, cfg, assignment):
+        calls.append((ds.n_modalities, cfg.seed, cfg.epochs))
+        return None, tr.TrainReport(train_seconds=float(len(calls)))
+
+    monkeypatch.setattr(tr, "train", fake_train)
+    cfg = tr.RunConfig(seed=13, **FAST)
+    rows, _ = tr.run_scalability_bench(cfg, m_values=[3, 2], repeats=2, n=40,
+                                       features_per_modality=4)
+    # untimed warm-up on the first case, then repeat 0 over every M, then 1
+    assert calls == [(3, 16, 2), (3, 16, 8), (2, 15, 8),
+                     (3, 1016, 8), (2, 1015, 8)]
+    assert [(r["M"], r["repeat"], r["seconds"]) for r in rows] == [
+        (3, 0, 2.0), (3, 1, 4.0), (2, 0, 3.0), (2, 1, 5.0)]
 
 
 def test_scalability_bench_rows():
