@@ -146,6 +146,10 @@ def load_csv(modality_paths, label_path, modality_names=None):
             raise DataError(f"non-integer label {lab!r} for {pid!r}") from None
     if not labels_by_id:
         raise DataError("label file has no rows")
+    top = max(labels_by_id.values())
+    if top >= len(labels_by_id):
+        raise DataError(f"label {top} is not below the number of labelled "
+                        f"patients ({len(labels_by_id)})")
 
     per_modality = []
     feature_names = []

@@ -57,18 +57,25 @@ def _he_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def encode(modalities, enc_params):
-    """Run each modality through its MLP encoder; returns a list of N x d tensors.
+def encode(modalities, mask, enc_params):
+    """Run the observed rows of each modality through its MLP encoder;
+    returns a list of N x d tensors.
 
-    Rows of patients missing a modality are computed on the zero
-    placeholders but are zeroed out of every downstream quantity by the
-    attention mask.
+    Modality i's encoder reads only the rows where ``mask[:, i]`` is 1, so
+    its cost is proportional to the patients that have the modality. The
+    rows of the others are exactly zero and their placeholders are never
+    read.
     """
+    mask = np.asarray(mask)
     hs = []
-    for x, (w1, b1, w2, b2) in zip(modalities, enc_params):
-        x_t = x if isinstance(x, nm.Tensor) else nm.constant(x)
-        h = nm.relu(nm.add(nm.matmul(x_t, w1), b1))
-        hs.append(nm.add(nm.matmul(h, w2), b2))
+    for i, (x, (w1, b1, w2, b2)) in enumerate(zip(modalities, enc_params)):
+        rows = np.flatnonzero(mask[:, i])
+        # a fully observed modality is used as is: gathering every row
+        # would make an equal copy that the tape keeps until backward
+        x_obs = x if len(rows) == len(x) else x[rows]
+        h = nm.relu(nm.add(nm.matmul(nm.constant(x_obs), w1), b1))
+        hs.append(nm.scatter_rows(nm.add(nm.matmul(h, w2), b2), rows,
+                                  len(mask)))
     return hs
 
 

@@ -120,7 +120,7 @@ def forward(params, modalities, mask, view, config, rng=None, training=False):
     embedding tensor).
     """
     drop = config.dropout if training else 0.0
-    hs = fu.encode(modalities, params.encoders)
+    hs = fu.encode(modalities, mask, params.encoders)
     if drop > 0:
         hs = [nm.dropout(h, drop, rng) for h in hs]
     if params.attention is None:

@@ -1,11 +1,11 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Covers exactly the operations needed by the rest of the package: dense
-matmul, two-operand einsum, row-bias addition, ReLU, masked softmax over
-the modality axis, sparse-constant matrix products for graph aggregation,
-a stabilized cross-entropy and the Student-t KL alignment loss as one
-fused node. Everything is double precision by default; float32 is opt-in
-for the scalability benchmark.
+matmul, two-operand einsum, row-bias addition, ReLU, row gather and
+scatter, masked softmax over the modality axis, sparse-constant matrix
+products for graph aggregation, a stabilized cross-entropy and the
+Student-t KL alignment loss as one fused node. Everything is double
+precision by default; float32 is opt-in for the scalability benchmark.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ class Tensor:
     ``data`` is a row-major numpy array. A parameter's array is the one
     live copy of its weights and the optimizer updates it in place; no
     other node's array is written after creation. Non-leaf tensors carry
-    references to their parents and a backward closure.
+    references to their parents and a backward closure. A node requires a
+    gradient when it is created with ``requires_grad`` or when any parent
+    does; backward visits only such nodes, so constants never get a grad.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "parents", "_backward", "op")
@@ -45,7 +47,8 @@ class Tensor:
         if checked and not np.all(np.isfinite(arr)):
             raise NumericsError("non-finite values in tensor")
         self.data = arr
-        self.requires_grad = requires_grad
+        self.requires_grad = requires_grad or any(p.requires_grad
+                                                  for p in parents)
         self.grad = None
         self.parents = parents
         self._backward = backward
@@ -113,9 +116,11 @@ class ComputeGraph:
 
 
 def _toposort(root):
+    """The nodes that require a gradient and lead to ``root``, each after
+    its parents."""
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root, False)] if root.requires_grad else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -126,12 +131,14 @@ def _toposort(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
 def _accum(tensor, grad):
+    if not tensor.requires_grad:
+        return
     if tensor.grad is None:
         tensor.grad = grad
     else:
@@ -148,8 +155,10 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return Tensor(out_data, parents=(a, b), backward=backward, op="matmul")
 
@@ -163,7 +172,8 @@ def add(a, b):
     elif a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]:
         def backward(g):
             _accum(a, g)
-            _accum(b, g.sum(axis=0))
+            if b.requires_grad:
+                _accum(b, g.sum(axis=0))
     else:
         raise NumericsError(f"add shape mismatch {a.shape} + {b.shape}")
     return Tensor(a.data + b.data, parents=(a, b), backward=backward, op="add")
@@ -230,8 +240,10 @@ def einsum(spec, a, b):
                 f"einsum spec {spec!r} sums an index inside one operand")
 
     def backward(g):
-        _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
-        _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
+        if a.requires_grad:
+            _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        if b.requires_grad:
+            _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
 
     return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b),
                   backward=backward, op="einsum")
@@ -245,7 +257,22 @@ def select_rows(a, idx):
         np.add.at(full, idx, g)
         _accum(a, full)
 
-    return Tensor(a.data[idx].copy(), parents=(a,), backward=backward, op="select")
+    return Tensor(a.data[idx], parents=(a,), backward=backward, op="select")
+
+
+def scatter_rows(a, idx, n_rows):
+    """The rows of ``a`` placed at the distinct row indices ``idx`` of an
+    ``n_rows``-row zero block; the inverse of ``select_rows``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.shape != a.data.shape[:1]:
+        raise NumericsError(f"scatter of {a.shape} to {idx.shape} row indices")
+    out = np.zeros((n_rows,) + a.data.shape[1:], dtype=a.data.dtype)
+    out[idx] = a.data
+
+    def backward(g):
+        _accum(a, g[idx])
+
+    return Tensor(out, parents=(a,), backward=backward, op="scatter")
 
 
 def sparse_matmul_const(mat, a):

@@ -1,7 +1,8 @@
 """Plain-array reference versions of the alignment objective, used by the
 tests to check the differentiable code in `magnetkit.objective`, a shared
 alignment target for gradient checks, the tape ops only the tests build
-losses from, and the finite-difference gradient oracle."""
+losses from, the dense modality encoder, and the finite-difference gradient
+oracle."""
 
 import numpy as np
 
@@ -79,6 +80,22 @@ def sum_all(a):
 
     return nm.Tensor(a.data.sum(), parents=(a,), backward=backward,
                      op="sum_all")
+
+
+# ---------------------------------------------------------------------------
+# dense encoder
+
+
+def dense_encode(modalities, mask, enc_params):
+    """Reference for `fusion.encode`: every row of each modality through its
+    MLP, placeholders included, then the rows of absent modalities zeroed."""
+    hs = []
+    for i, (x, (w1, b1, w2, b2)) in enumerate(zip(modalities, enc_params)):
+        h = nm.relu(nm.add(nm.matmul(nm.constant(x), w1), b1))
+        out = nm.add(nm.matmul(h, w2), b2)
+        keep = np.broadcast_to(np.asarray(mask)[:, i:i + 1], out.shape)
+        hs.append(mul(out, nm.constant(keep.astype(out.data.dtype))))
+    return hs
 
 
 # ---------------------------------------------------------------------------

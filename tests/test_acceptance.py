@@ -146,6 +146,9 @@ def test_criterion_01_gradient_correctness():
          {"a": (3, 2), "b": (3, 3)}),
         (lambda t: sum_all(sq(nm.einsum("nm,nmd->nd", t["a"], t["b"]))),
          {"a": (3, 2), "b": (3, 2, 4)}),
+        (lambda t: sum_all(sq(nm.scatter_rows(t["a"], np.array([3, 0, 4]),
+                                              6))),
+         {"a": (3, 2)}),
     ]
     for i, (op, shapes) in enumerate(ops):
         assert simple(op, shapes, seed=100 + i) < 1e-6, f"op #{i}"

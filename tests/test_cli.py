@@ -226,6 +226,19 @@ def test_eval_meta_nonpositive_size_is_config_error(trained_run, tmp_path,
     assert "positive" in capsys.readouterr().err
 
 
+def test_eval_meta_size_mismatch_fails_before_building(trained_run, tmp_path,
+                                                       capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("model built from an unchecked meta")
+
+    monkeypatch.setattr(cli.gnn, "init_model", no_build)
+    values, meta = params_io.load_params(trained_run / "run" / "params.bin")
+    path = tmp_path / "huge_dim.bin"
+    params_io.save_params(path, values, {**meta, "feature_dims": [10 ** 9]})
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    assert "feature_dims[0] 1000000000" in capsys.readouterr().err
+
+
 BAD_CONFIGS = [3, "f64", [1, 2], {"heads": "x"}, {"seed": "0"},
                {"epochs": 2.5}, {"no_kl": 1}, {"dropout": None}, {"heads": 0}]
 
@@ -368,9 +381,16 @@ def _huge_field(root):
     write_rows(root / "labels.csv", rows)
 
 
+def _huge_label(root):
+    rows = csv_rows(root / "labels.csv")
+    rows[1][1] = "1000000000"
+    write_rows(root / "labels.csv", rows)
+
+
 @pytest.mark.parametrize("fault, message", [
     (_empty_modality, "no feature columns"), (_one_field_label, "label row"),
-    (_no_modality_names, "modality_names"), (_huge_field, "malformed CSV")])
+    (_no_modality_names, "modality_names"), (_huge_field, "malformed CSV"),
+    (_huge_label, "label 1000000000")])
 def test_train_malformed_bundle_is_config_error(trained_run, tmp_path, capsys,
                                                 fault, message):
     root = tmp_path / "data"

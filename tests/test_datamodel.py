@@ -41,6 +41,15 @@ def test_load_csv_nonnumeric(tmp_path):
         dm.load_csv([tmp_path / "m0.csv"], tmp_path / "labels.csv")
 
 
+def test_load_csv_rejects_label_beyond_patient_count(tmp_path):
+    write_csv(tmp_path / "m0.csv", ["patient_id", "f0"],
+              [["p1", 1.0], ["p2", 2.0], ["p3", 3.0]])
+    write_csv(tmp_path / "labels.csv", ["patient_id", "label"],
+              [["p1", 0], ["p2", 1], ["p3", 1000000000]])
+    with pytest.raises(dm.DataError, match="label 1000000000"):
+        dm.load_csv([tmp_path / "m0.csv"], tmp_path / "labels.csv")
+
+
 def test_save_load_roundtrip(tmp_path):
     ds = dm.gen_clusters(n=40, clusters=4, dims=(5, 6, 7), seed=1)
     ds = dm.apply_scenario(ds, dm.ScenarioSpec(kind="random_mask", ratio=0.3,

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from magnetkit import fusion as fu
 from magnetkit import numerics as nm
-from oracles import grad_check, mul, sum_all
+from oracles import dense_encode, grad_check, mul, sum_all
 
 
 def make_encoders(graph, dims, hidden, d, seed=0):
@@ -18,7 +18,7 @@ def test_encode_zero_params_gives_zero():
     for w1, b1, w2, b2 in enc:
         w1.data[:] = 0
         w2.data[:] = 0
-    hs = fu.encode([np.ones((6, 3)), np.ones((6, 4))], enc)
+    hs = fu.encode([np.ones((6, 3)), np.ones((6, 4))], np.ones((6, 2)), enc)
     for h in hs:
         assert np.all(h.data == 0.0)
 
@@ -26,7 +26,7 @@ def test_encode_zero_params_gives_zero():
 def test_encode_output_shapes():
     g = nm.ComputeGraph()
     enc = make_encoders(g, [3, 7], hidden=5, d=4)
-    hs = fu.encode([np.ones((6, 3)), np.ones((6, 7))], enc)
+    hs = fu.encode([np.ones((6, 3)), np.ones((6, 7))], np.ones((6, 2)), enc)
     assert [h.shape for h in hs] == [(6, 4), (6, 4)]
 
 
@@ -40,12 +40,43 @@ def test_encode_gradient():
                 g.add_parameter("b1", values["b1"]),
                 g.add_parameter("w2", values["w2"]),
                 g.add_parameter("b2", values["b2"]))]
-        h = fu.encode([x], enc)[0]
+        h = fu.encode([x], np.ones((4, 1)), enc)[0]
         return sum_all(mul(h, h)), g
 
     values = {"w1": rng.normal(size=(3, 5)), "b1": rng.normal(size=5),
               "w2": rng.normal(size=(5, 2)), "b2": rng.normal(size=2)}
     assert grad_check(build, values) < 1e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
+def test_encode_matches_dense_oracle(n, m, seed):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 7, size=m)]
+    mods = [rng.normal(size=(n, d)) for d in dims]
+    mask = rng.integers(0, 2, size=(n, m))
+    mask[np.arange(n), rng.integers(0, m, size=n)] = 1
+
+    def run(encoder):
+        g = nm.ComputeGraph()
+        enc = make_encoders(g, dims, hidden=5, d=4, seed=seed)
+        att_rng = np.random.default_rng(seed)
+        params = fu.init_attention_params(g, 4, 2, att_rng)
+        for w in params["w_att"]:
+            w.data = att_rng.normal(size=w.data.shape)
+        hs = encoder(mods, mask, enc)
+        _, z = fu.fuse_multi_head(hs, mask, params)
+        return hs, z.data, g.backward(sum_all(mul(z, z)))
+
+    hs, z, grads = run(fu.encode)
+    _, z_ref, grads_ref = run(dense_encode)
+    assert np.allclose(z, z_ref, rtol=1e-10, atol=1e-12)
+    for i, h in enumerate(hs):
+        assert np.all(h.data[mask[:, i] == 0] == 0.0)
+    for name, ref in grads_ref.items():
+        # the error measure of grad_check
+        scale = np.maximum(np.maximum(abs(grads[name]), abs(ref)), 1e-12)
+        assert np.max(abs(grads[name] - ref) / scale) < 1e-6, name
 
 
 def brute_single_head(h_arrays, mask, w_lin, w_att):
@@ -255,7 +286,7 @@ def test_missingness_independence_of_fused_embedding():
         att_rng = np.random.default_rng(2)
         for w in params["w_att"]:
             w.data = att_rng.normal(size=w.data.shape)
-        hs = fu.encode([x0v, x1v], enc)
+        hs = fu.encode([x0v, x1v], mask, enc)
         _, z = fu.fuse_multi_head(hs, mask, params)
         return z.data
 

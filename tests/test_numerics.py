@@ -249,6 +249,9 @@ def _square(t):
      {"x": (4, 3)}),
     (lambda t: sum_all(_square(nm.einsum("nm,nmd->nd", t["w"], t["x"]))),
      {"w": (3, 2), "x": (3, 2, 4)}),
+    (lambda t: sum_all(_square(nm.scatter_rows(t["x"], np.array([3, 0, 4]),
+                                               6))),
+     {"x": (3, 2)}),
 ])
 def test_per_op_gradients(op, shapes):
     rng = np.random.default_rng(7)
@@ -298,6 +301,28 @@ def test_sparse_matmul_and_selectors():
     z = nm.constant(np.arange(8.0).reshape(4, 2))
     agg = nm.sparse_matmul_const(view.mean_adj, z)
     assert np.allclose(agg.data, [[2, 3], [2, 3], [2, 3], [0, 0]])
+
+
+def test_constant_leaves_get_no_gradient():
+    g = nm.ComputeGraph()
+    w = g.add_parameter("w", np.ones((3, 2)))
+    x = nm.constant(np.arange(12.0).reshape(4, 3))
+    feats = nm.relu(nm.matmul(x, nm.constant(np.eye(3))))
+    edge = nm.constant(np.ones((4, 1)))
+    out = nm.concat_last_dim([nm.matmul(feats, w), edge])
+    assert not feats.requires_grad and out.requires_grad
+    grads = g.backward(sum_all(out))
+    assert x.grad is None and feats.grad is None and edge.grad is None
+    assert np.array_equal(grads["w"], x.data.T @ np.ones((4, 2)))
+
+
+def test_scatter_rows_places_rows_in_zero_block():
+    a = nm.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    out = nm.scatter_rows(a, [2, 0], 3)
+    assert np.array_equal(out.data, [[3, 4], [0, 0], [1, 2]])
+    assert np.array_equal(nm.select_rows(out, [2, 0]).data, a.data)
+    with pytest.raises(nm.NumericsError):
+        nm.scatter_rows(a, [0], 3)
 
 
 def test_checked_creation_rejects_nonfinite():
