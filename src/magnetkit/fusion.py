@@ -22,41 +22,6 @@ class FusionState:
     Z: np.ndarray            # N x d
 
 
-def init_encoder_params(graph, feature_dims, hidden_dim, embed_dim, rng,
-                        prefix="enc"):
-    """Two-layer ReLU MLP per modality, He-style uniform fan-in init."""
-    params = []
-    for i, d_in in enumerate(feature_dims):
-        w1 = graph.add_parameter(f"{prefix}{i}.w1", _he_uniform(rng, d_in, hidden_dim))
-        b1 = graph.add_parameter(f"{prefix}{i}.b1", np.zeros(hidden_dim))
-        w2 = graph.add_parameter(f"{prefix}{i}.w2", _he_uniform(rng, hidden_dim, embed_dim))
-        b2 = graph.add_parameter(f"{prefix}{i}.b2", np.zeros(embed_dim))
-        params.append((w1, b1, w2, b2))
-    return params
-
-
-def init_attention_params(graph, embed_dim, heads, rng, prefix="att"):
-    """W_lin, per-head attention vectors (zero-initialized so epoch-0
-    attention is uniform over available modalities), and a near-identity
-    output projection."""
-    if embed_dim % heads != 0:
-        raise FusionError(f"head count {heads} does not divide dim {embed_dim}")
-    d_h = embed_dim // heads
-    w_lin = graph.add_parameter(f"{prefix}.w_lin", _he_uniform(rng, embed_dim, embed_dim))
-    w_att = [graph.add_parameter(f"{prefix}.w_att{k}", np.zeros((d_h, 1)))
-             for k in range(heads)]
-    w_out = graph.add_parameter(
-        f"{prefix}.w_out",
-        np.eye(embed_dim) + rng.normal(0.0, 0.01, size=(embed_dim, embed_dim)))
-    return {"w_lin": w_lin, "w_att": w_att, "w_out": w_out,
-            "heads": heads, "d_h": d_h}
-
-
-def _he_uniform(rng, fan_in, fan_out):
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def encode(modalities, mask, enc_params):
     """Run the observed rows of each modality through its MLP encoder;
     returns a list of N x d tensors.

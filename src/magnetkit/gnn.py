@@ -42,25 +42,6 @@ class GraphView:
         )
 
 
-def init_sage_params(graph, d_in, d_out, layer, rng, prefix="sage"):
-    w_root = graph.add_parameter(f"{prefix}{layer}.w_root",
-                                 fu._he_uniform(rng, d_in, d_out))
-    w_msg = graph.add_parameter(f"{prefix}{layer}.w_msg",
-                                fu._he_uniform(rng, d_in + 1, d_out))
-    w_agg = graph.add_parameter(f"{prefix}{layer}.w_agg",
-                                fu._he_uniform(rng, d_out, d_out))
-    return {"w_root": w_root, "w_msg": w_msg, "w_agg": w_agg}
-
-
-def init_decoder_params(graph, d_in, hidden, n_classes, rng, prefix="dec"):
-    return {
-        "w1": graph.add_parameter(f"{prefix}.w1", fu._he_uniform(rng, d_in, hidden)),
-        "b1": graph.add_parameter(f"{prefix}.b1", np.zeros(hidden)),
-        "w2": graph.add_parameter(f"{prefix}.w2", fu._he_uniform(rng, hidden, n_classes)),
-        "b2": graph.add_parameter(f"{prefix}.b2", np.zeros(n_classes)),
-    }
-
-
 def sage_layer(z, view, params):
     """One GraphSAGE step: ReLU(z W_root + ([A z || e] W_msg) W_agg).
 
@@ -93,24 +74,76 @@ class ModelParams:
     decoder: dict
 
 
+def _he_uniform(rng, shape):
+    """He-style uniform fan-in init of a fan_in x fan_out weight."""
+    limit = np.sqrt(6.0 / shape[0])
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _near_identity(rng, shape):
+    return np.eye(shape[0]) + rng.normal(0.0, 0.01, size=shape)
+
+
+def param_table(feature_dims, n_classes, config):
+    """(name, shape, init) of every model parameter under a RunConfig, in
+    creation order; ``init(rng, shape)`` draws its initial values.
+
+    This is the one statement of the model's shapes: ``init_model`` builds
+    from it and a stored parameter table is checked against it. It is a
+    generator, so a check against a much smaller stored table can stop at
+    the first missing name without building the whole table.
+    """
+    d = config.embed_dim
+    hidden = config.encoder_hidden or d
+    for i, d_in in enumerate(feature_dims):  # two-layer ReLU MLP per modality
+        yield f"enc{i}.w1", (d_in, hidden), _he_uniform
+        yield f"enc{i}.b1", (hidden,), _zeros
+        yield f"enc{i}.w2", (hidden, d), _he_uniform
+        yield f"enc{i}.b2", (d,), _zeros
+    if not config.no_pmmha:
+        # W_lin, per-head attention vectors (zero, so epoch-0 attention is
+        # uniform over the available modalities) and a near-identity W_out
+        yield "att.w_lin", (d, d), _he_uniform
+        for k in range(config.heads):
+            yield f"att.w_att{k}", (d // config.heads, 1), _zeros
+        yield "att.w_out", (d, d), _near_identity
+    for layer in range(0 if config.no_gnn else config.gnn_layers):
+        yield f"sage{layer}.w_root", (d, d), _he_uniform
+        yield f"sage{layer}.w_msg", (d + 1, d), _he_uniform
+        yield f"sage{layer}.w_agg", (d, d), _he_uniform
+    dec = max(2, d // 2)
+    yield "dec.w1", (d, dec), _he_uniform
+    yield "dec.b1", (dec,), _zeros
+    yield "dec.w2", (dec, n_classes), _he_uniform
+    yield "dec.b2", (n_classes,), _zeros
+
+
 def init_model(feature_dims, n_classes, config, rng):
-    """Build the parameter registry for the full pipeline under a RunConfig,
-    every parameter in the run dtype."""
+    """Build the parameter registry of ``param_table`` in the run dtype and
+    group its tensors by layer."""
     g = nm.ComputeGraph(config.dtype)
-    hidden = config.encoder_hidden or config.embed_dim
-    encoders = fu.init_encoder_params(g, feature_dims, hidden, config.embed_dim, rng)
+    for name, shape, init in param_table(feature_dims, n_classes, config):
+        g.add_parameter(name, init(rng, shape))
+    p = g.params
     attention = None
     if not config.no_pmmha:
-        attention = fu.init_attention_params(g, config.embed_dim, config.heads, rng)
-    sage = []
-    if not config.no_gnn:
-        for layer in range(config.gnn_layers):
-            sage.append(init_sage_params(g, config.embed_dim, config.embed_dim,
-                                         layer, rng))
-    decoder = init_decoder_params(g, config.embed_dim,
-                                  max(2, config.embed_dim // 2), n_classes, rng)
-    return ModelParams(graph=g, encoders=encoders, attention=attention,
-                       sage=sage, decoder=decoder)
+        attention = {"w_lin": p["att.w_lin"], "w_out": p["att.w_out"],
+                     "w_att": [p[f"att.w_att{k}"] for k in range(config.heads)],
+                     "heads": config.heads,
+                     "d_h": config.embed_dim // config.heads}
+    layers = 0 if config.no_gnn else config.gnn_layers
+    return ModelParams(
+        graph=g,
+        encoders=[tuple(p[f"enc{i}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+                  for i in range(len(feature_dims))],
+        attention=attention,
+        sage=[{w: p[f"sage{layer}.{w}"] for w in ("w_root", "w_msg", "w_agg")}
+              for layer in range(layers)],
+        decoder={w: p[f"dec.{w}"] for w in ("w1", "b1", "w2", "b2")})
 
 
 def forward(params, modalities, mask, view, config, rng=None, training=False):

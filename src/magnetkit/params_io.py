@@ -83,15 +83,22 @@ def load_params(path):
     return values, meta
 
 
-def check_table(values, shapes):
-    """Require `values` to hold exactly the tensors named in `shapes`, each
-    with its shape."""
-    missing = sorted(set(shapes) - set(values))
-    unexpected = sorted(set(values) - set(shapes))
-    wrong = sorted(f"{name} {np.shape(values[name])} != {tuple(shapes[name])}"
-                   for name in set(shapes) & set(values)
-                   if np.shape(values[name]) != tuple(shapes[name]))
-    if missing or unexpected or wrong:
-        raise ParamsIOError(
-            f"params do not match the model: missing {missing}, "
-            f"unexpected {unexpected}, wrong shape {wrong}")
+def check_table(values, table):
+    """Require `values` to hold exactly the tensors that the (name, shape)
+    pairs of `table` list, each with its shape.
+
+    The table is read lazily and rejected at its first name that `values`
+    lacks, so a table far larger than the stored one is never built whole.
+    """
+    listed = set()
+    wrong = []
+    for name, shape in table:
+        if name not in values:
+            raise ParamsIOError(f"params do not match the model: missing {name}")
+        listed.add(name)
+        if np.shape(values[name]) != tuple(shape):
+            wrong.append(f"{name} {np.shape(values[name])} != {tuple(shape)}")
+    unexpected = sorted(set(values) - listed)
+    if unexpected or wrong:
+        raise ParamsIOError(f"params do not match the model: unexpected "
+                            f"{unexpected}, wrong shape {wrong}")

@@ -229,6 +229,8 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
 
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
+    # the encoders gather observed rows every epoch, which is faster from
+    # row-major copies than from preprocess's column-major matrices
     mods = [x.astype(dtype, order="C") for x in ds.modalities]
     values = params.graph.values()
     adam = AdamState.for_params(values)
@@ -290,7 +292,7 @@ def evaluate(trained, ds, split_assignment, split_name,
     g = pg.build_graph(ds, sims, config.sparsity_rate)
     view = gnn.GraphView.from_graph(g, edge_features_on=not config.no_edge_feature,
                                     dtype=config.dtype)
-    mods = [x.astype(config.dtype, order="C") for x in ds.modalities]
+    mods = [x.astype(config.dtype) for x in ds.modalities]
     logits, state, _, z_final = gnn.forward(trained.params, mods, ds.mask,
                                             view, config, training=False)
     lg = logits.data[idx]

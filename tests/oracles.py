@@ -1,11 +1,13 @@
 """Plain-array reference versions of the alignment objective, used by the
 tests to check the differentiable code in `magnetkit.objective`, a shared
 alignment target for gradient checks, the tape ops only the tests build
-losses from, the dense modality encoder, and the finite-difference gradient
+losses from, the dense modality encoder, the single-component parameter
+builders the unit tests start from, and the finite-difference gradient
 oracle."""
 
 import numpy as np
 
+from magnetkit import gnn
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 
@@ -96,6 +98,49 @@ def dense_encode(modalities, mask, enc_params):
         keep = np.broadcast_to(np.asarray(mask)[:, i:i + 1], out.shape)
         hs.append(mul(out, nm.constant(keep.astype(out.data.dtype))))
     return hs
+
+
+# ---------------------------------------------------------------------------
+# single-component parameter builders (`gnn.init_model` builds the whole
+# model from `gnn.param_table`; these draw the same values per component)
+
+
+def init_encoder_params(graph, feature_dims, hidden_dim, embed_dim, rng):
+    """Two-layer ReLU MLP per modality as (w1, b1, w2, b2) tuples."""
+    params = []
+    for i, d_in in enumerate(feature_dims):
+        w1 = graph.add_parameter(f"enc{i}.w1",
+                                 gnn._he_uniform(rng, (d_in, hidden_dim)))
+        b1 = graph.add_parameter(f"enc{i}.b1", np.zeros(hidden_dim))
+        w2 = graph.add_parameter(f"enc{i}.w2",
+                                 gnn._he_uniform(rng, (hidden_dim, embed_dim)))
+        b2 = graph.add_parameter(f"enc{i}.b2", np.zeros(embed_dim))
+        params.append((w1, b1, w2, b2))
+    return params
+
+
+def init_attention_params(graph, embed_dim, heads, rng):
+    """W_lin, zero per-head attention vectors and a near-identity W_out, in
+    the dict `fusion.fuse_multi_head` reads."""
+    d_h = embed_dim // heads
+    w_lin = graph.add_parameter("att.w_lin",
+                                gnn._he_uniform(rng, (embed_dim, embed_dim)))
+    w_att = [graph.add_parameter(f"att.w_att{k}", np.zeros((d_h, 1)))
+             for k in range(heads)]
+    w_out = graph.add_parameter(
+        "att.w_out", gnn._near_identity(rng, (embed_dim, embed_dim)))
+    return {"w_lin": w_lin, "w_att": w_att, "w_out": w_out,
+            "heads": heads, "d_h": d_h}
+
+
+def init_decoder_params(graph, d_in, hidden, n_classes, rng):
+    return {
+        "w1": graph.add_parameter("dec.w1", gnn._he_uniform(rng, (d_in, hidden))),
+        "b1": graph.add_parameter("dec.b1", np.zeros(hidden)),
+        "w2": graph.add_parameter("dec.w2",
+                                  gnn._he_uniform(rng, (hidden, n_classes))),
+        "b2": graph.add_parameter("dec.b2", np.zeros(n_classes)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -226,17 +226,23 @@ def test_eval_meta_nonpositive_size_is_config_error(trained_run, tmp_path,
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, reported", [
+    (lambda meta: {"feature_dims": [10 ** 9]}, "(1000000000, 16)"),
+    (lambda meta: {"config": {**meta["config"], "gnn_layers": 10 ** 8}},
+     "missing sage2.w_root"),
+], ids=["feature_dims", "gnn_layers"])
 def test_eval_meta_size_mismatch_fails_before_building(trained_run, tmp_path,
-                                                       capsys, monkeypatch):
+                                                       capsys, monkeypatch,
+                                                       edit, reported):
     def no_build(*args, **kwargs):
         raise AssertionError("model built from an unchecked meta")
 
     monkeypatch.setattr(cli.gnn, "init_model", no_build)
     values, meta = params_io.load_params(trained_run / "run" / "params.bin")
-    path = tmp_path / "huge_dim.bin"
-    params_io.save_params(path, values, {**meta, "feature_dims": [10 ** 9]})
+    path = tmp_path / "huge_size.bin"
+    params_io.save_params(path, values, {**meta, **edit(meta)})
     assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
-    assert "feature_dims[0] 1000000000" in capsys.readouterr().err
+    assert reported in capsys.readouterr().err
 
 
 BAD_CONFIGS = [3, "f64", [1, 2], {"heads": "x"}, {"seed": "0"},

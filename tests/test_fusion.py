@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from magnetkit import fusion as fu
 from magnetkit import numerics as nm
-from oracles import dense_encode, grad_check, mul, sum_all
+from magnetkit.trainer import ConfigError, RunConfig
+from oracles import (dense_encode, grad_check, init_attention_params,
+                     init_encoder_params, mul, sum_all)
 
 
 def make_encoders(graph, dims, hidden, d, seed=0):
-    return fu.init_encoder_params(graph, dims, hidden, d,
-                                  np.random.default_rng(seed))
+    return init_encoder_params(graph, dims, hidden, d,
+                               np.random.default_rng(seed))
 
 
 def test_encode_zero_params_gives_zero():
@@ -61,7 +63,7 @@ def test_encode_matches_dense_oracle(n, m, seed):
         g = nm.ComputeGraph()
         enc = make_encoders(g, dims, hidden=5, d=4, seed=seed)
         att_rng = np.random.default_rng(seed)
-        params = fu.init_attention_params(g, 4, 2, att_rng)
+        params = init_attention_params(g, 4, 2, att_rng)
         for w in params["w_att"]:
             w.data = att_rng.normal(size=w.data.shape)
         hs = encoder(mods, mask, enc)
@@ -166,7 +168,7 @@ def test_multi_head_k1_identity_projection_matches_single_head():
     h = [rng.normal(size=(3, 4)) for _ in range(2)]
     mask = np.array([[1, 1], [1, 0], [0, 1]])
     g = nm.ComputeGraph()
-    params = fu.init_attention_params(g, 4, 1, rng)
+    params = init_attention_params(g, 4, 1, rng)
     params["w_att"][0].data = rng.normal(size=(4, 1))
     params["w_out"].data = np.eye(4)
     att, z_multi = fu.fuse_multi_head([nm.constant(x) for x in h], mask, params)
@@ -188,7 +190,7 @@ def test_multi_head_matches_loop_oracle(seed, heads):
     mask[0] = 0
     mask[0, rng.integers(0, m)] = 1  # a row with one available modality
     g = nm.ComputeGraph()
-    params = fu.init_attention_params(g, d, heads, rng)
+    params = init_attention_params(g, d, heads, rng)
     for w in params["w_att"]:
         w.data = rng.normal(size=w.data.shape)
     att, z = fu.fuse_multi_head([nm.constant(x) for x in h], mask, params)
@@ -209,7 +211,7 @@ def test_multi_head_row_stochastic(heads):
     mask = rng.integers(0, 2, size=(5, 3))
     mask[:, 0] = 1
     g = nm.ComputeGraph()
-    params = fu.init_attention_params(g, d, heads, rng)
+    params = init_attention_params(g, d, heads, rng)
     for w in params["w_att"]:
         w.data = rng.normal(size=w.data.shape)
     atts, z = fu.fuse_multi_head(h, mask, params)
@@ -220,9 +222,8 @@ def test_multi_head_row_stochastic(heads):
 
 
 def test_head_count_must_divide_dim():
-    g = nm.ComputeGraph()
-    with pytest.raises(fu.FusionError):
-        fu.init_attention_params(g, 6, 4, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="divide"):
+        RunConfig(seed=0, embed_dim=6, heads=4)
 
 
 def test_equal_weight_fuse():
@@ -282,7 +283,7 @@ def test_missingness_independence_of_fused_embedding():
     def fused(x0v, x1v):
         g = nm.ComputeGraph()
         enc = make_encoders(g, [5, 5], hidden=4, d=4, seed=0)
-        params = fu.init_attention_params(g, 4, 2, np.random.default_rng(1))
+        params = init_attention_params(g, 4, 2, np.random.default_rng(1))
         att_rng = np.random.default_rng(2)
         for w in params["w_att"]:
             w.data = att_rng.normal(size=w.data.shape)
@@ -301,8 +302,8 @@ def test_missingness_independence_of_fused_embedding():
 def test_parameter_count_linear_in_modalities():
     def count(m):
         g = nm.ComputeGraph()
-        fu.init_encoder_params(g, [6] * m, 5, 4, np.random.default_rng(0))
-        fu.init_attention_params(g, 4, 2, np.random.default_rng(1))
+        init_encoder_params(g, [6] * m, 5, 4, np.random.default_rng(0))
+        init_attention_params(g, 4, 2, np.random.default_rng(1))
         return sum(p.data.size for p in g.params.values())
 
     c2, c3, c4 = count(2), count(3), count(4)

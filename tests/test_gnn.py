@@ -6,7 +6,7 @@ from magnetkit import gnn
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit.trainer import RunConfig
-from oracles import grad_check, mul, sum_all
+from oracles import grad_check, init_decoder_params, mul, sum_all
 
 
 def make_view(edges, sims=None, n=None, **kw):
@@ -152,7 +152,7 @@ def test_edge_features_off_zeroes_feature_column():
 
 def test_decoder_shapes_and_zero_weights_uniform():
     g = nm.ComputeGraph()
-    dec = gnn.init_decoder_params(g, 4, 3, 5, np.random.default_rng(0))
+    dec = init_decoder_params(g, 4, 3, 5, np.random.default_rng(0))
     dec["w2"].data[:] = 0.0
     logits = gnn.decode(nm.constant(np.random.default_rng(1).normal(size=(7, 4))),
                         dec)
