@@ -22,25 +22,45 @@ class FusionState:
     Z: np.ndarray            # N x d
 
 
+@dataclass(frozen=True)
+class ObservedRows:
+    """The encoders' input: for each modality, the patients that have it
+    (``rows[i]``) and their feature rows (``blocks[i]``), gathered into a
+    C-ordered block of the run dtype. A training run builds it once and
+    every epoch reads it; the rows of absent modalities are never copied.
+    """
+
+    n_patients: int
+    rows: list
+    blocks: list
+
+    @classmethod
+    def of(cls, modalities, mask, dtype):
+        mask = np.asarray(mask)
+        rows = [np.flatnonzero(mask[:, i]) for i in range(len(modalities))]
+        return cls(n_patients=len(mask), rows=rows,
+                   blocks=[np.ascontiguousarray(x[r], dtype=dtype)
+                           for x, r in zip(modalities, rows)])
+
+
 def encode(modalities, mask, enc_params):
     """Run the observed rows of each modality through its MLP encoder;
     returns a list of N x d tensors.
 
-    Modality i's encoder reads only the rows where ``mask[:, i]`` is 1, so
-    its cost is proportional to the patients that have the modality. The
-    rows of the others are exactly zero and their placeholders are never
-    read.
+    ``modalities`` is an ``ObservedRows`` or the list of full N x F_i
+    matrices, whose observed rows are then gathered here. Modality i's
+    encoder reads only the rows where ``mask[:, i]`` is 1, so its cost is
+    proportional to the patients that have the modality. The rows of the
+    others are exactly zero and their placeholders are never read.
     """
-    mask = np.asarray(mask)
+    obs = modalities
+    if not isinstance(obs, ObservedRows):
+        obs = ObservedRows.of(modalities, mask, enc_params[0][0].data.dtype)
     hs = []
-    for i, (x, (w1, b1, w2, b2)) in enumerate(zip(modalities, enc_params)):
-        rows = np.flatnonzero(mask[:, i])
-        # a fully observed modality is used as is: gathering every row
-        # would make an equal copy that the tape keeps until backward
-        x_obs = x if len(rows) == len(x) else x[rows]
+    for rows, x_obs, (w1, b1, w2, b2) in zip(obs.rows, obs.blocks, enc_params):
         h = nm.relu(nm.add(nm.matmul(nm.constant(x_obs), w1), b1))
         hs.append(nm.scatter_rows(nm.add(nm.matmul(h, w2), b2), rows,
-                                  len(mask)))
+                                  obs.n_patients))
     return hs
 
 

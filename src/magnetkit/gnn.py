@@ -147,7 +147,8 @@ def init_model(feature_dims, n_classes, config, rng):
 
 
 def forward(params, modalities, mask, view, config, rng=None, training=False):
-    """Full pipeline: encode, fuse, message-pass, decode.
+    """Full pipeline: encode, fuse, message-pass, decode. ``modalities`` is
+    what ``fusion.encode`` takes: the full matrices or their ObservedRows.
 
     Returns (logits tensor, FusionState, fused embedding tensor, final
     embedding tensor).

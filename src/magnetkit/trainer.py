@@ -11,6 +11,7 @@ import numpy as np
 
 from . import datamodel as dm
 from . import evalkit
+from . import fusion as fu
 from . import gnn
 from . import graph as pg
 from . import numerics as nm
@@ -229,9 +230,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
 
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
-    # the encoders gather observed rows every epoch, which is faster from
-    # row-major copies than from preprocess's column-major matrices
-    mods = [x.astype(dtype, order="C") for x in ds.modalities]
+    inputs = fu.ObservedRows.of(ds.modalities, ds.mask, dtype)
     values = params.graph.values()
     adam = AdamState.for_params(values)
 
@@ -242,8 +241,8 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     started = time.perf_counter()
     for epoch in range(config.epochs):
         lr = learning_rate_at(config, epoch)
-        logits, _, z_fused, _ = gnn.forward(params, mods, ds.mask, view, config,
-                                            rng=rng, training=True)
+        logits, _, z_fused, _ = gnn.forward(params, inputs, ds.mask, view,
+                                            config, rng=rng, training=True)
         logits_train = nm.select_rows(logits, train_idx)
         ce = obj.ce_loss(logits_train, y_train)
         if lam > 0:
@@ -292,9 +291,9 @@ def evaluate(trained, ds, split_assignment, split_name,
     g = pg.build_graph(ds, sims, config.sparsity_rate)
     view = gnn.GraphView.from_graph(g, edge_features_on=not config.no_edge_feature,
                                     dtype=config.dtype)
-    mods = [x.astype(config.dtype) for x in ds.modalities]
-    logits, state, _, z_final = gnn.forward(trained.params, mods, ds.mask,
-                                            view, config, training=False)
+    logits, state, _, z_final = gnn.forward(trained.params, ds.modalities,
+                                            ds.mask, view, config,
+                                            training=False)
     lg = logits.data[idx]
     shifted = lg - lg.max(axis=1, keepdims=True)
     probs = np.exp(shifted)

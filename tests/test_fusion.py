@@ -32,6 +32,23 @@ def test_encode_output_shapes():
     assert [h.shape for h in hs] == [(6, 4), (6, 4)]
 
 
+def test_observed_rows_are_gathered_once_in_run_dtype():
+    rng = np.random.default_rng(3)
+    mods = [np.asfortranarray(rng.normal(size=(6, d))) for d in (3, 5)]
+    mask = np.array([[1, 0], [1, 1], [0, 1], [1, 1], [1, 0], [0, 1]])
+    obs = fu.ObservedRows.of(mods, mask, np.float32)
+    for i, (rows, block) in enumerate(zip(obs.rows, obs.blocks)):
+        assert np.array_equal(rows, np.flatnonzero(mask[:, i]))
+        assert block.dtype == np.float32 and block.flags.c_contiguous
+        assert np.array_equal(block, mods[i][rows].astype(np.float32))
+    g = nm.ComputeGraph(np.float32)
+    enc = make_encoders(g, [3, 5], hidden=4, d=2)
+    packed = fu.encode(obs, mask, enc)
+    raw = fu.encode(mods, mask, enc)
+    for a, b in zip(packed, raw):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_encode_gradient():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 3))
