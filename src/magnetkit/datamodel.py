@@ -146,6 +146,9 @@ def load_csv(modality_paths, label_path, modality_names=None):
             raise DataError(f"non-integer label {lab!r} for {pid!r}") from None
     if not labels_by_id:
         raise DataError("label file has no rows")
+    low = min(labels_by_id.values())
+    if low < 0:
+        raise DataError(f"negative label {low}")
     top = max(labels_by_id.values())
     if top >= len(labels_by_id):
         raise DataError(f"label {top} is not below the number of labelled "
@@ -278,13 +281,17 @@ def _anova_f(x, y, classes):
     return f
 
 
-def preprocess(ds, split=None, missing_frac_threshold=0.10,
-               variance_threshold=0.0, topk=None):
-    """Per-modality pipeline: drop sparse features, mean-impute, min-max scale,
-    variance-filter, then keep the top-k features by one-way ANOVA F.
+# A feature missing in more than this share of the reference rows is dropped.
+MISSING_FRAC_THRESHOLD = 0.10
 
-    Statistics (means, min/max, variances, F scores) come from training
-    patients only when a split is supplied, and are reused on the rest.
+
+def preprocess(ds, split=None, topk=None):
+    """Per-modality pipeline: drop sparse features, mean-impute, min-max
+    scale, then keep the top-k features by one-way ANOVA F. The returned
+    matrices are C-ordered.
+
+    Statistics (means, min/max, F scores) come from training patients only
+    when a split is supplied, and are reused on the rest.
     """
     if split is None:
         train_idx = np.arange(ds.n_patients)
@@ -300,10 +307,10 @@ def preprocess(ds, split=None, missing_frac_threshold=0.10,
             ref = present  # no training patient has this modality; fall back
         xr = x[ref]
 
-        # 1. drop features with too many missing values (on reference rows)
-        miss_frac = np.isnan(xr).mean(axis=0)
-        keep = miss_frac <= missing_frac_threshold
-        x = x[:, keep]
+        # 1. drop features with too many missing values (on reference rows);
+        # compress keeps the rows contiguous, a column mask index would not
+        keep = np.isnan(xr).mean(axis=0) <= MISSING_FRAC_THRESHOLD
+        x = np.compress(keep, x, axis=1)
         xr = xr[:, keep]
         if x.shape[1] == 0:
             raise DataError(f"modality {ds.modality_names[i]} left with 0 features")
@@ -324,23 +331,13 @@ def preprocess(ds, split=None, missing_frac_threshold=0.10,
         x = (x - lo) / span
         x[:, const] = 0.0
         np.clip(x, 0.0, 1.0, out=x)
-        xr = x[ref]
 
-        # 4. variance filter
-        if variance_threshold > 0:
-            keep = xr.var(axis=0) >= variance_threshold
-            x = x[:, keep]
-            xr = xr[:, keep]
-            if x.shape[1] == 0:
-                raise DataError(
-                    f"modality {ds.modality_names[i]} left with 0 features")
-
-        # 5. ANOVA top-k on training labels; ties broken by lower index
+        # 4. ANOVA top-k on training labels; ties broken by lower index
         if topk is not None and topk < x.shape[1]:
-            f = _anova_f(xr, ds.labels[np.where(ref)[0]], range(ds.class_count))
+            f = _anova_f(x[ref], ds.labels[np.where(ref)[0]],
+                         range(ds.class_count))
             order = np.lexsort((np.arange(len(f)), -f))
-            chosen = np.sort(order[:topk])
-            x = x[:, chosen]
+            x = np.take(x, np.sort(order[:topk]), axis=1)
 
         x[~present] = 0.0
         out_mats.append(x)

@@ -111,7 +111,7 @@ def param_table(feature_dims, n_classes, config):
         for k in range(config.heads):
             yield f"att.w_att{k}", (d // config.heads, 1), _zeros
         yield "att.w_out", (d, d), _near_identity
-    for layer in range(0 if config.no_gnn else config.gnn_layers):
+    for layer in range(config.gnn_layers):
         yield f"sage{layer}.w_root", (d, d), _he_uniform
         yield f"sage{layer}.w_msg", (d + 1, d), _he_uniform
         yield f"sage{layer}.w_agg", (d, d), _he_uniform
@@ -135,14 +135,13 @@ def init_model(feature_dims, n_classes, config, rng):
                      "w_att": [p[f"att.w_att{k}"] for k in range(config.heads)],
                      "heads": config.heads,
                      "d_h": config.embed_dim // config.heads}
-    layers = 0 if config.no_gnn else config.gnn_layers
     return ModelParams(
         graph=g,
         encoders=[tuple(p[f"enc{i}.{w}"] for w in ("w1", "b1", "w2", "b2"))
                   for i in range(len(feature_dims))],
         attention=attention,
         sage=[{w: p[f"sage{layer}.{w}"] for w in ("w_root", "w_msg", "w_agg")}
-              for layer in range(layers)],
+              for layer in range(config.gnn_layers)],
         decoder={w: p[f"dec.{w}"] for w in ("w1", "b1", "w2", "b2")})
 
 

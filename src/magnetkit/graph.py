@@ -29,7 +29,6 @@ class PatientGraph:
     edges: np.ndarray            # E x 2 int, u < v
     similarities: np.ndarray     # E floats
     reconnection: np.ndarray     # E bools
-    split_tags: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.edges):
@@ -141,29 +140,20 @@ def build_graph(ds, sims, sparsity_rate):
                         reconnection=recon)
 
 
-def inductive_filter(g, mode, sims=None, train_side=("train", "validation")):
-    """Train-mode view: remove every edge crossing between the training side
-    and the test side, then re-run reconnection within the training subgraph.
-
-    Full mode returns the graph unchanged.
-    """
-    if mode == "full":
-        return g
-    if mode != "train":
-        raise GraphError(f"unknown filter mode {mode!r}")
-    if g.split_tags is None:
-        raise GraphError("split tags required for train-mode filtering")
-    is_train = np.isin(g.split_tags, train_side)
+def inductive_filter(g, sims, tags, train_side=("train", "validation")):
+    """Training view of `g`: remove every edge crossing between the training
+    side (nodes whose split tag is in `train_side`) and the test side, then
+    reconnect each training-side node left isolated to its best valid
+    training-side neighbor."""
+    is_train = np.isin(tags, train_side)
     keep = is_train[g.edges[:, 0]] == is_train[g.edges[:, 1]]
     edges = g.edges[keep].astype(np.int64, copy=False)
-    svals, recon = g.similarities[keep], g.reconnection[keep]
-    if sims is not None:
-        deg = np.bincount(edges.ravel(), minlength=g.n_nodes)
-        edges, svals, recon, _ = _reconnect(
-            edges, svals, recon, sims, np.flatnonzero(is_train & (deg == 0)),
-            allowed=is_train)
+    deg = np.bincount(edges.ravel(), minlength=g.n_nodes)
+    edges, svals, recon, _ = _reconnect(
+        edges, g.similarities[keep], g.reconnection[keep], sims,
+        np.flatnonzero(is_train & (deg == 0)), allowed=is_train)
     return PatientGraph(n_nodes=g.n_nodes, edges=edges, similarities=svals,
-                        reconnection=recon, split_tags=g.split_tags)
+                        reconnection=recon)
 
 
 def homophily(g, labels):

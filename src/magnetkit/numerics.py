@@ -350,9 +350,10 @@ def student_t_kl(z, p, weights, p_log_p):
     With d the squared distances between rows and k = 1 / (1 + d), Q is
     W * k / S on the pairs the constant ``weights`` W marks (1 valid, 0 not)
     and S = sum(W * k). ``p_log_p`` is the constant sum of p log p, so
-    KL = p_log_p + sum(p log(1 + d)) + log S. P need not be symmetric. The
-    backward is the t-SNE gradient: with G = k * (P - W * k / S),
-    dz = 2 ((rowsum G + colsum G) z - G z - G^T z).
+    KL = p_log_p + sum(p log(1 + d)) + log S. P and W must be symmetric
+    (``objective.AlignmentTarget`` makes them so). The backward is the
+    t-SNE gradient: with the symmetric G = k * (P - W * k / S),
+    dz = 4 (rowsum G * z - G z).
     """
     x = z.data
     if x.ndim != 2:
@@ -377,10 +378,9 @@ def student_t_kl(z, p, weights, p_log_p):
         grad *= -1.0 / s
         grad += p
         grad *= k
-        dz = (grad.sum(axis=1) + grad.sum(axis=0))[:, None] * x
+        dz = grad.sum(axis=1)[:, None] * x
         dz -= grad @ x
-        dz -= grad.T @ x
-        dz *= 2.0 * float(g)
+        dz *= 4.0 * float(g)
         _accum(z, dz)
 
     value = np.asarray(p_log_p + cross + np.log(s), dtype=x.dtype)

@@ -25,7 +25,9 @@ class AlignmentTarget:
 
     ``p`` is the N x N pair distribution P, ``weights`` is 1 on the valid
     pairs and 0 elsewhere, both in the run dtype; ``p_log_p`` is the
-    constant sum of p log p over p > 0.
+    constant sum of p log p over p > 0. The loss sees P and the weights only
+    through their symmetric parts (its kernel is symmetric), so both are
+    stored symmetrised; a symmetric input is kept bit for bit.
     """
 
     p: np.ndarray
@@ -35,9 +37,19 @@ class AlignmentTarget:
     @classmethod
     def of(cls, p, valid, dtype=np.float64):
         p = np.asarray(p, dtype=dtype)
-        pos = p[p > 0].astype(np.float64)
-        return cls(p=p, weights=np.asarray(valid, dtype=dtype),
-                   p_log_p=float((pos * np.log(pos)).sum()))
+        pos = p[p > 0].astype(np.float64, copy=False)
+        p_log_p = float((pos * np.log(pos)).sum())
+        del pos
+        return cls(p=_symmetric_part(p, dtype),
+                   weights=_symmetric_part(np.asarray(valid), dtype),
+                   p_log_p=p_log_p)
+
+
+def _symmetric_part(a, dtype):
+    """(a + a^T) / 2 in ``dtype``, built in one new array."""
+    out = np.add(a, a.T, dtype=dtype)
+    out *= 0.5
+    return out
 
 
 def build_P(sims, train_ids, dtype=np.float64):
@@ -59,7 +71,8 @@ def build_P(sims, train_ids, dtype=np.float64):
         # all valid pairs at cosine -1; fall back to uniform over valid pairs
         aff = valid.astype(float)
         total = aff.sum()
-    return AlignmentTarget.of(aff / total, valid, dtype)
+    aff /= total
+    return AlignmentTarget.of(aff, valid, dtype)
 
 
 def kl_alignment_loss(z_tensor, target):
@@ -69,11 +82,9 @@ def kl_alignment_loss(z_tensor, target):
 
 
 def total_loss(ce, kl, lam):
-    """ce + lambda * kl; lambda 0 disables the alignment term."""
+    """ce + lambda * kl on tensors; lambda 0 disables the alignment term."""
     if lam < 0:
         raise ObjectiveError("lambda must be nonnegative")
-    if isinstance(ce, nm.Tensor):
-        if lam == 0:
-            return ce
-        return nm.add(ce, nm.scale(kl, lam))
-    return ce + lam * kl
+    if lam == 0:
+        return ce
+    return nm.add(ce, nm.scale(kl, lam))

@@ -1,6 +1,7 @@
 """Plain-array reference versions of the alignment objective, used by the
 tests to check the differentiable code in `magnetkit.objective`, a shared
-alignment target for gradient checks, the tape ops only the tests build
+alignment target for gradient checks, the Student-t KL node for asymmetric
+pair matrices, the tape ops only the tests build
 losses from, the dense modality encoder, the single-component parameter
 builders the unit tests start from, and the finite-difference gradient
 oracle."""
@@ -42,6 +43,28 @@ def kl_target(n, seed):
     valid[0, n - 1] = False
     p = np.where(valid, rng.uniform(size=(n, n)), 0.0)
     return ob.AlignmentTarget.of(p / p.sum(), valid)
+
+
+def student_t_kl(z, p, weights, p_log_p):
+    """Reference for `numerics.student_t_kl` that takes P and W as they come,
+    symmetric or not: the same KL node with the general t-SNE gradient
+    dz = 2 ((rowsum G + colsum G) z - G z - G^T z), G = k * (P - W * k / S).
+    """
+    x = z.data
+    sq = (x * x).sum(axis=1)
+    k = 1.0 / (1.0 + np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T),
+                                0.0))
+    s = float(np.vdot(weights, k))
+
+    def backward(g):
+        grad = k * (p - weights * k / s)
+        dz = (grad.sum(axis=1) + grad.sum(axis=0))[:, None] * x
+        dz -= grad @ x + grad.T @ x
+        nm._accum(z, 2.0 * float(g) * dz)
+
+    value = p_log_p - float(np.vdot(p, np.log(k))) + np.log(s)
+    return nm.Tensor(np.asarray(value), parents=(z,), backward=backward,
+                     op="student_t_kl")
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,7 @@ def test_criterion_04_graph_invariants():
         assert np.all(g.degrees() >= 1)
 
         assignment = dm.split(ds, seed=trial)
-        g.split_tags = assignment.tags
-        g_train = gr.inductive_filter(g, "train", sims=sims)
+        g_train = gr.inductive_filter(g, sims, assignment.tags)
         is_train = np.isin(assignment.tags, (dm.TRAIN, dm.VAL))
         if len(g_train.edges):
             crossing = (is_train[g_train.edges[:, 0]]
@@ -467,7 +466,7 @@ def test_criterion_09_ablation_harness():
     for r in results.values():
         assert set(r["test_metrics"]) >= {"accuracy", "macro_f1", "mcc"}
 
-    a4_cfg = tr.RunConfig(**{**cfg.to_dict(), "no_kl": True})
+    a4_cfg = tr.RunConfig(**{**cfg.to_dict(), **tr.ABLATIONS["A4"]})
     lam0_cfg = tr.RunConfig(**{**cfg.to_dict(), "lam": 0.0})
     a4, _ = tr.train(prepped, a4_cfg, assignment)
     lam0, _ = tr.train(prepped, lam0_cfg, assignment)

@@ -246,7 +246,9 @@ def test_eval_meta_size_mismatch_fails_before_building(trained_run, tmp_path,
 
 
 BAD_CONFIGS = [3, "f64", [1, 2], {"heads": "x"}, {"seed": "0"},
-               {"epochs": 2.5}, {"no_kl": 1}, {"dropout": None}, {"heads": 0}]
+               {"epochs": 2.5}, {"no_pmmha": 1}, {"dropout": None},
+               {"heads": 0}, {"embed_dim": 0, "heads": 1},
+               {"encoder_hidden": 0}, {"gnn_layers": -1}, {"epochs": -1}]
 
 
 @pytest.mark.parametrize("config", BAD_CONFIGS)
@@ -259,6 +261,19 @@ def test_eval_bad_meta_config_is_config_error(trained_run, tmp_path, capsys,
     params_io.save_params(path, values, meta)
     assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eval_params_with_removed_config_key_is_config_error(
+        trained_run, tmp_path, capsys):
+    # params files written while RunConfig still had no_kl are refused
+    values, meta = params_io.load_params(trained_run / "run" / "params.bin")
+    meta["config"]["no_kl"] = False
+    path = tmp_path / "old_config.bin"
+    params_io.save_params(path, values, meta)
+    capsys.readouterr()
+    assert eval_with(trained_run, tmp_path, path) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "no_kl" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("config", BAD_CONFIGS)
@@ -393,10 +408,17 @@ def _huge_label(root):
     write_rows(root / "labels.csv", rows)
 
 
+def _huge_negative_label(root):
+    rows = csv_rows(root / "labels.csv")
+    rows[1][1] = "-" + "1" * 31  # beyond int64
+    write_rows(root / "labels.csv", rows)
+
+
 @pytest.mark.parametrize("fault, message", [
     (_empty_modality, "no feature columns"), (_one_field_label, "label row"),
     (_no_modality_names, "modality_names"), (_huge_field, "malformed CSV"),
-    (_huge_label, "label 1000000000")])
+    (_huge_label, "label 1000000000"),
+    (_huge_negative_label, "negative label")])
 def test_train_malformed_bundle_is_config_error(trained_run, tmp_path, capsys,
                                                 fault, message):
     root = tmp_path / "data"

@@ -115,6 +115,8 @@ def test_preprocess_idempotent():
     twice = dm.preprocess(once, topk=6)
     for a, b in zip(once.modalities, twice.modalities):
         assert np.allclose(a, b, atol=1e-12)
+        # top-k selection (once) and the plain path (twice) return C order
+        assert a.flags.c_contiguous and b.flags.c_contiguous
 
 
 def test_gen_clusters_deterministic():

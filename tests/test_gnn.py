@@ -260,7 +260,7 @@ def test_no_pmmha_uses_equal_weight_fusion():
 
 
 def test_no_gnn_skips_message_passing():
-    config, params, mods, mask, view = fixture_model(no_gnn=True)
+    config, params, mods, mask, view = fixture_model(layers=0)
     assert params.sage == []
     logits, state, z, z_final = gnn.forward(params, mods, mask, view, config)
     assert z_final is z

@@ -110,27 +110,30 @@ def brute_build_graph(ds, sims, rate):
             np.array(recon, dtype=bool))
 
 
-def brute_inductive_filter(g, sims, train_side):
-    is_train = np.isin(g.split_tags, train_side)
+def brute_inductive_filter(g, sims, tags, train_side):
+    is_train = np.isin(tags, train_side)
     keep = [is_train[u] == is_train[v] for u, v in g.edges]
     edges = [tuple(e) for e, k in zip(g.edges.tolist(), keep) if k]
     svals = [s for s, k in zip(g.similarities, keep) if k]
     recon = [r for r, k in zip(g.reconnection, keep) if k]
     touched = {u for e in edges for u in e}
-    if sims is not None:
-        for u in range(g.n_nodes):
-            if not is_train[u] or u in touched:
-                continue
-            best = brute_best_neighbor(sims, u, allowed=is_train)
-            if best is None:
-                continue
-            pair = (min(u, best), max(u, best))
-            if pair not in edges:
-                edges.append(pair)
-                svals.append(float(sims.values[pair]))
-                recon.append(True)
+    for u in range(g.n_nodes):
+        if not is_train[u] or u in touched:
+            continue
+        best = brute_best_neighbor(sims, u, allowed=is_train)
+        if best is None:
+            continue
+        pair = (min(u, best), max(u, best))
+        if pair not in edges:
+            edges.append(pair)
+            svals.append(float(sims.values[pair]))
+            recon.append(True)
     return (np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(svals),
             np.array(recon, dtype=bool))
+
+
+def all_valid(n):
+    return gr.SimilarityMatrix(values=np.eye(n), valid=np.ones((n, n), bool))
 
 
 def assert_same_arrays(g, ref):
@@ -287,12 +290,10 @@ def test_inductive_filter_removes_crossing_edges():
     g = gr.PatientGraph(n_nodes=4,
                         edges=np.array([[0, 1], [1, 2], [2, 3]]),
                         similarities=np.array([0.9, 0.8, 0.7]),
-                        reconnection=np.zeros(3, dtype=bool),
-                        split_tags=tags)
-    got = gr.inductive_filter(g, "train")
+                        reconnection=np.zeros(3, dtype=bool))
+    got = gr.inductive_filter(g, all_valid(4), tags)
     kept = set(map(tuple, got.edges.tolist()))
     assert kept == {(0, 1), (2, 3)}
-    assert gr.inductive_filter(g, "full") is g
 
 
 def test_inductive_filter_reconnects_within_train_side():
@@ -305,9 +306,8 @@ def test_inductive_filter_reconnects_within_train_side():
                                valid=np.ones((3, 3), dtype=bool))
     g = gr.PatientGraph(n_nodes=3, edges=np.array([[1, 2]]),
                         similarities=np.array([0.95]),
-                        reconnection=np.zeros(1, dtype=bool),
-                        split_tags=tags)
-    got = gr.inductive_filter(g, "train", sims=sims)
+                        reconnection=np.zeros(1, dtype=bool))
+    got = gr.inductive_filter(g, sims, tags)
     assert set(map(tuple, got.edges.tolist())) == {(0, 1)}
     assert got.reconnection[0]
     assert got.similarities[0] == pytest.approx(0.4)
@@ -317,13 +317,13 @@ def test_inductive_filter_validation_on_train_side_by_default():
     tags = np.array(["train", "validation", "test"])
     g = gr.PatientGraph(n_nodes=3, edges=np.array([[0, 1], [1, 2]]),
                         similarities=np.array([0.5, 0.6]),
-                        reconnection=np.zeros(2, dtype=bool),
-                        split_tags=tags)
-    got = gr.inductive_filter(g, "train")
+                        reconnection=np.zeros(2, dtype=bool))
+    sims = all_valid(3)
+    got = gr.inductive_filter(g, sims, tags)
     assert set(map(tuple, got.edges.tolist())) == {(0, 1)}
     # strict side assignment: the train-validation edge now crosses, while
     # the validation-test edge stays entirely on the held-out side
-    strict = gr.inductive_filter(g, "train", train_side=("train",))
+    strict = gr.inductive_filter(g, sims, tags, train_side=("train",))
     assert set(map(tuple, strict.edges.tolist())) == {(1, 2)}
 
 
@@ -391,11 +391,10 @@ def test_build_and_filter_match_loop_oracles(seed, rate, mask_rate, rounded):
         return
     g = gr.build_graph(ds, sims, rate)
     assert_same_arrays(g, ref)
-    g.split_tags = rng.choice(["train", "validation", "test"], size=n)
+    tags = rng.choice(["train", "validation", "test"], size=n)
     for side in (("train", "validation"), ("train",)):
-        for s in (sims, None):
-            got = gr.inductive_filter(g, "train", sims=s, train_side=side)
-            assert_same_arrays(got, brute_inductive_filter(g, s, side))
+        got = gr.inductive_filter(g, sims, tags, side)
+        assert_same_arrays(got, brute_inductive_filter(g, sims, tags, side))
 
 
 def test_reconnection_tie_goes_to_lowest_index():
@@ -411,9 +410,8 @@ def test_reconnection_tie_goes_to_lowest_index():
     sims = gr.SimilarityMatrix(values=values, valid=valid)
     g = gr.PatientGraph(n_nodes=5, edges=np.array([[1, 2], [0, 4]]),
                         similarities=np.array([0.9, 0.9]),
-                        reconnection=np.zeros(2, dtype=bool),
-                        split_tags=np.array(["train"] * 4 + ["test"]))
-    got = gr.inductive_filter(g, "train", sims=sims)
+                        reconnection=np.zeros(2, dtype=bool))
+    got = gr.inductive_filter(g, sims, np.array(["train"] * 4 + ["test"]))
     assert got.edges.tolist() == [[1, 2], [0, 2], [0, 3]]
     assert got.reconnection.tolist() == [False, True, True]
     assert got.similarities.tolist() == [0.9, 0.5, 0.5]

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magnetkit import datamodel as dm
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
-from oracles import build_Q, grad_check, kl_loss, kl_target
+from oracles import build_Q, grad_check, kl_loss, kl_target, student_t_kl
 
 
 def sims_from_values(values, valid=None):
@@ -205,10 +206,13 @@ def test_kl_alignment_minimized_when_q_matches_p():
 
 
 def test_total_loss_arithmetic():
-    assert ob.total_loss(2.0, 0.5, 0.1) == pytest.approx(2.05)
-    assert ob.total_loss(2.0, 123.0, 0.0) == 2.0
+    two = nm.constant(np.asarray(2.0))
+    out = ob.total_loss(two, nm.constant(np.asarray(0.5)), 0.1)
+    assert float(out.data) == pytest.approx(2.05)
+    assert float(ob.total_loss(two, nm.constant(np.asarray(123.0)),
+                               0.0).data) == 2.0
     with pytest.raises(ob.ObjectiveError):
-        ob.total_loss(1.0, 1.0, -0.1)
+        ob.total_loss(two, two, -0.1)
 
 
 def test_total_loss_tensor_paths():
@@ -262,6 +266,60 @@ def test_kl_alignment_matches_oracle_property(seed, n):
         return ob.kl_alignment_loss(z, target), g
 
     assert grad_check(build, {"z": z0}) < 1e-4
+
+
+def kl_value_and_grad(kl, z0, *args):
+    g = nm.ComputeGraph()
+    loss = kl(g.add_parameter("z", z0), *args)
+    return float(loss.data), g.backward(loss)["z"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 40))
+def test_symmetric_kl_node_matches_asymmetric_oracle(seed, n):
+    # asymmetric P and valid pairs, one-sided invalid pairs included: the
+    # symmetrised target gives the general node's value and gradient
+    rng = np.random.default_rng(seed)
+    valid = rng.random((n, n)) < 0.7
+    np.fill_diagonal(valid, False)
+    valid[0, 1] = valid[1, 2] = True
+    valid[1, 0] = False
+    p_raw = np.where(valid, rng.uniform(size=(n, n)), 0.0)
+    p = p_raw / p_raw.sum()
+    target = ob.AlignmentTarget.of(p, valid)
+    assert np.array_equal(target.p, target.p.T)
+    assert np.array_equal(target.weights, target.weights.T)
+    z0 = rng.normal(scale=2.0, size=(n, 4))
+    value, grad = kl_value_and_grad(nm.student_t_kl, z0, target.p,
+                                    target.weights, target.p_log_p)
+    ref_value, ref_grad = kl_value_and_grad(student_t_kl, z0, p,
+                                            valid.astype(float),
+                                            target.p_log_p)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-14)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_alignment_target_keeps_build_P_output_bitwise(monkeypatch, dtype):
+    ds = dm.apply_scenario(
+        dm.gen_clusters(n=90, clusters=3, dims=(5, 4, 6), seed=2),
+        dm.ScenarioSpec(kind="random_mask", ratio=0.6, seed=2))
+    sims = gr.pairwise_similarity(ds)
+    assert not sims.valid.all()
+    given_to_of = {}
+    of = ob.AlignmentTarget.of.__func__
+
+    def spy(cls, p, valid, dtype=np.float64):
+        given_to_of.update(p=np.asarray(p, dtype=dtype).copy(),
+                           weights=np.asarray(valid, dtype=dtype))
+        return of(cls, p, valid, dtype)
+
+    monkeypatch.setattr(ob.AlignmentTarget, "of", classmethod(spy))
+    target = ob.build_P(sims, np.arange(3, 80), dtype)
+    for name in ("p", "weights"):
+        got, want = getattr(target, name), given_to_of[name]
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_kl_alignment_is_one_tape_node():

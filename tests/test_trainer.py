@@ -29,16 +29,7 @@ def test_config_validation():
         tr.RunConfig(seed=0, sparsity_rate=1.0)
     with pytest.raises(tr.ConfigError):
         tr.RunConfig(seed=0, embed_dim=10, heads=4)
-
-
-def test_config_range_checked_mode():
-    tr.RunConfig(seed=0, range_checked=True)  # defaults are in range
-    with pytest.raises(tr.ConfigError):
-        tr.RunConfig(seed=0, range_checked=True, embed_dim=64, heads=2)
-    with pytest.raises(tr.ConfigError):
-        tr.RunConfig(seed=0, range_checked=True, dropout=0.5)
-    with pytest.raises(tr.ConfigError):
-        tr.RunConfig(seed=0, range_checked=True, sparsity_rate=0.3)
+    tr.RunConfig(seed=0, gnn_layers=0, epochs=0)  # A2; nothing trained
 
 
 def test_config_dict_roundtrip_rejects_unknown_keys():
@@ -115,15 +106,12 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 def test_label_guard_counts_and_raises():
-    guard = tr.LabelGuard(np.arange(10), allowed=[0, 1, 2], strict=True)
+    guard = tr.LabelGuard(np.arange(10), allowed=[0, 1, 2])
     assert guard.take([0, 2]).tolist() == [0, 2]
     assert guard.reads == 2
     with pytest.raises(RuntimeError):
         guard.take([5])
     assert guard.violations == 1
-    lax = tr.LabelGuard(np.arange(10), allowed=[0], strict=False)
-    lax.take([0, 7])
-    assert lax.violations == 1
 
 
 def test_train_separable_two_clusters_perfect_train_accuracy():
@@ -157,20 +145,9 @@ def test_train_loss_log_matches_schedule():
         assert total == pytest.approx(ce + cfg.lam * kl, rel=1e-9)
 
 
-def test_train_no_kl_is_bit_identical_to_lambda_zero():
-    ds, assignment = prepared(seed=3)
-    base = tr.RunConfig(seed=3, **FAST)
-    a, _ = tr.train(ds, tr.RunConfig(**{**base.to_dict(), "no_kl": True}),
-                    assignment)
-    b, _ = tr.train(ds, tr.RunConfig(**{**base.to_dict(), "lam": 0.0}),
-                    assignment)
-    for k in a.values:
-        assert np.array_equal(a.values[k], b.values[k])
-
-
 def test_train_kl_logged_zero_when_disabled():
     ds, assignment = prepared(seed=4)
-    cfg = tr.RunConfig(seed=4, no_kl=True, **FAST)
+    cfg = tr.RunConfig(seed=4, **{**FAST, "lam": 0.0})
     _, report = tr.train(ds, cfg, assignment)
     assert all(row[2] == 0.0 for row in report.loss_log)
 
