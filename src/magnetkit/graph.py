@@ -71,7 +71,9 @@ def pairwise_similarity(ds):
         # an absent or zero-norm row adds exactly 0 to every pair it is in
         xn[(present[:, i] == 0) | (norms == 0)] = 0.0
         total += xn @ xn.T
-    counts = present @ present.T
+    # against a copy: numpy's symmetric path for present @ present.T is
+    # slower here, and the small integer counts are exact either way
+    counts = present @ present.T.copy()
     valid = counts > 0
     values = np.divide(total, counts, out=np.zeros_like(total), where=valid)
     np.clip(values, -1.0, 1.0, out=values)

@@ -19,6 +19,9 @@ DEFAULT_DTYPE = np.float64
 # avoid inf arithmetic.
 NEG_MASK = 1e30
 
+# Rows per tile of the Student-t KL node's walk over the upper triangle.
+KL_TILE = 128
+
 
 class NumericsError(ValueError):
     pass
@@ -251,10 +254,18 @@ def einsum(spec, a, b):
 
 def select_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
+    # strictly increasing indices from 0 up (a training split) never repeat
+    # a row, so the backward can place rows instead of the much slower
+    # np.add.at; a negative index may name the same row as a later one
+    distinct = idx.size == 0 or (
+        idx[0] >= 0 and bool(np.all(idx[1:] > idx[:-1])))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if distinct:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
         _accum(a, full)
 
     return Tensor(a.data[idx], parents=(a,), backward=backward, op="select")
@@ -354,34 +365,67 @@ def student_t_kl(z, p, weights, p_log_p):
     (``objective.AlignmentTarget`` makes them so). The backward is the
     t-SNE gradient: with the symmetric G = k * (P - W * k / S),
     dz = 4 (rowsum G * z - G z).
+
+    k is symmetric too, so the node reads only the upper triangle: it walks
+    row tiles I = i0:i0+KL_TILE against the columns i0:, where the square
+    block on the diagonal counts once and the columns to its right twice,
+    and keeps about N^2 / 2 kernel values between forward and backward.
     """
     x = z.data
     if x.ndim != 2:
         raise NumericsError("pairwise distance expects a matrix")
-    n = x.shape[0]
+    n, dim = x.shape
     if p.shape != (n, n) or weights.shape != (n, n):
         raise NumericsError(f"pair matrices {p.shape} and {weights.shape} "
                             f"do not match {n} rows")
     sq = (x * x).sum(axis=1)
-    k = x @ x.T  # turned into 1 + d, then into the kernel, in place
-    k *= -2.0
-    k += sq[:, None]
-    k += sq[None, :]
-    np.maximum(k, 0.0, out=k)
-    k += 1.0
-    cross = float(np.vdot(p, np.log(k)))
-    np.reciprocal(k, out=k)
-    s = float(np.vdot(weights, k))
+    ones = np.ones(n, dtype=x.dtype)
+    # rows [z, 1, 1 + |z|^2] times columns [-2 z, |z|^2, 1] give 1 + d in
+    # one product of two distinct operands (a plain GEMM, not numpy's slower
+    # symmetric path for x @ x.T); the backward multiplies by [z, 1]
+    rows = np.column_stack((x, ones, sq + 1.0))
+    cols = np.vstack((-2.0 * x.T, sq, ones))
+    starts = range(0, n, KL_TILE)
+    tiles = []
+    cross = s = 0.0
+    logs = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
+    for i0 in starts:
+        i1 = min(i0 + KL_TILE, n)
+        k = rows[i0:i1] @ cols[:, i0:]
+        np.maximum(k, 1.0, out=k)
+        cross += _upper_sum(p[i0:i1, i0:],
+                            np.log(k, out=logs[:k.size].reshape(k.shape)))
+        np.reciprocal(k, out=k)
+        s += _upper_sum(weights[i0:i1, i0:], k)
+        tiles.append(k)
 
     def backward(g):
-        grad = weights * k
-        grad *= -1.0 / s
-        grad += p
-        grad *= k
-        dz = grad.sum(axis=1)[:, None] * x
-        dz -= grad @ x
+        # products with [z, 1] give G z and rowsum G together
+        xa = rows[:, :dim + 1]
+        acc = np.zeros((n, dim + 1), dtype=x.dtype)
+        buf = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
+        for i0, k in zip(starts, tiles):
+            i1 = i0 + k.shape[0]
+            grad = np.multiply(weights[i0:i1, i0:], k,
+                               out=buf[:k.size].reshape(k.shape))
+            grad *= -1.0 / s
+            grad += p[i0:i1, i0:]
+            grad *= k
+            acc[i0:i1] += grad @ xa[i0:]
+            acc[i1:] += grad[:, i1 - i0:].T @ xa[i0:i1]
+        dz = acc[:, dim:] * x
+        dz -= acc[:, :dim]
         dz *= 4.0 * float(g)
         _accum(z, dz)
 
     value = np.asarray(p_log_p + cross + np.log(s), dtype=x.dtype)
     return Tensor(value, parents=(z,), backward=backward, op="student_t_kl")
+
+
+def _upper_sum(a, b):
+    """Sum of a * b over a row tile of the upper triangle of two symmetric
+    matrices: the leading square block once, the columns right of it
+    twice. Row sums in the operands' dtype, the rest in float64."""
+    db = a.shape[0]
+    return (2.0 * float(np.vecdot(a, b).sum(dtype=np.float64))
+            - float(np.vecdot(a[:, :db], b[:, :db]).sum(dtype=np.float64)))

@@ -497,7 +497,7 @@ def test_scripts_print_help():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     scripts = sorted((root / "scripts").glob("*.py"))
-    assert len(scripts) == 4
+    assert len(scripts) == 5
     for script in scripts:
         done = subprocess.run([sys.executable, str(script), "--help"], env=env,
                               capture_output=True, text=True, timeout=120)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -301,6 +303,41 @@ def test_sparse_matmul_and_selectors():
     z = nm.constant(np.arange(8.0).reshape(4, 2))
     agg = nm.sparse_matmul_const(view.mean_adj, z)
     assert np.allclose(agg.data, [[2, 3], [2, 3], [2, 3], [0, 0]])
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 5], [1], [0, 2, 2], [4, 1, 1, 3],
+                                 [-5, 1, 3]])
+def test_select_rows_gradient_matches_dense_scatter_add(idx):
+    # increasing indices take the assignment path, repeats (also a negative
+    # index naming a later row) the scatter-add path
+    rng = np.random.default_rng(11)
+    x0, up = rng.normal(size=(6, 3)), rng.normal(size=(len(idx), 3))
+    g = nm.ComputeGraph()
+    x = g.add_parameter("x", x0)
+    out = nm.select_rows(x, np.array(idx))
+    assert np.array_equal(out.data, x0[idx])
+    grads = g.backward(sum_all(mul(out, nm.constant(up))))
+    onehot = np.zeros((len(idx), 6))
+    onehot[np.arange(len(idx)), idx] = 1.0
+    assert np.allclose(grads["x"], onehot.T @ up, rtol=0, atol=1e-15)
+
+
+def test_kl_node_peak_memory_below_one_dense_pair_matrix():
+    # forward plus backward at N = 1000, f64: the node keeps the upper row
+    # tiles of its kernel, never a dense N x N temporary
+    n = 1000
+    rng = np.random.default_rng(12)
+    target = kl_target(n, seed=12)
+    g = nm.ComputeGraph()
+    z = g.add_parameter("z", rng.normal(size=(n, 32)))
+    tracemalloc.start()
+    try:
+        g.backward(nm.student_t_kl(z, target.p, target.weights,
+                                   target.p_log_p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * n * n * 8
 
 
 def test_constant_leaves_get_no_gradient():

@@ -269,7 +269,7 @@ def test_kl_alignment_matches_oracle_property(seed, n):
 
 
 def kl_value_and_grad(kl, z0, *args):
-    g = nm.ComputeGraph()
+    g = nm.ComputeGraph(z0.dtype)
     loss = kl(g.add_parameter("z", z0), *args)
     return float(loss.data), g.backward(loss)["z"]
 
@@ -297,6 +297,39 @@ def test_symmetric_kl_node_matches_asymmetric_oracle(seed, n):
                                             target.p_log_p)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-14)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([2, nm.KL_TILE - 1, nm.KL_TILE, nm.KL_TILE + 1,
+                        2 * nm.KL_TILE + 3]),
+       st.sampled_from([np.float64, np.float32]))
+def test_tiled_kl_node_matches_oracle_across_tile_edges(seed, n, dtype):
+    # sizes below, at and past the row tile: partial last tiles and the
+    # square blocks on the diagonal; asymmetric P and W with one-sided
+    # invalid pairs go through AlignmentTarget.of, the oracle takes them raw.
+    # Diagonal pairs may be valid too (at n = 2 the gradient would vanish
+    # with one pair only).
+    rng = np.random.default_rng(seed)
+    valid = rng.random((n, n)) < 0.7
+    valid[0, 0] = valid[0, 1] = True
+    valid[1, 0] = False
+    p_raw = np.where(valid, rng.uniform(size=(n, n)), 0.0)
+    p = p_raw / p_raw.sum()
+    target = ob.AlignmentTarget.of(p, valid, dtype)
+    z0 = rng.normal(scale=2.0, size=(n, 4))
+    value, grad = kl_value_and_grad(nm.student_t_kl, z0.astype(dtype),
+                                    target.p, target.weights, target.p_log_p)
+    ref_value, ref_grad = kl_value_and_grad(student_t_kl, z0, p,
+                                            valid.astype(float),
+                                            target.p_log_p)
+    assert grad.dtype == dtype
+    # f32: the f32-matches-f64 tolerance, plus an absolute floor for the
+    # rounding of terms that nearly cancel in a small KL (n = 2)
+    rel, tiny = (1e-12, 1e-14) if dtype == np.float64 else (1e-5, 1e-6)
+    assert value == pytest.approx(ref_value, rel=rel, abs=tiny)
+    assert (np.max(np.abs(grad - ref_grad))
+            <= rel * np.max(np.abs(ref_grad)) + tiny)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
