@@ -15,8 +15,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
 from . import datamodel as dm
 from . import fusion as fu
 from . import gnn
@@ -181,9 +179,7 @@ def _rebuild_trained(params_path):
     params_io.check_table(values, ((name, shape) for name, shape, _ in
                                    gnn.param_table(dims, meta["n_classes"],
                                                    config)))
-    params = gnn.init_model(dims, meta["n_classes"], config,
-                            np.random.default_rng(0))
-    params.graph.set_values(values)
+    params = gnn.init_model(dims, meta["n_classes"], config, values=values)
     trained = tr.TrainedModel(params=params, config=config, feature_dims=dims,
                               n_classes=meta["n_classes"],
                               report=tr.TrainReport())

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import numerics as nm
 
@@ -43,54 +44,97 @@ class ObservedRows:
                            for x, r in zip(modalities, rows)])
 
 
-def encode(modalities, mask, enc_params):
-    """Run the observed rows of each modality through its MLP encoder;
-    returns a list of N x d tensors.
+def encode(modalities, mask, enc_params, dropout=0.0, rng=None):
+    """Run the observed rows of each modality through its MLP encoder
+    (matmul, bias, ReLU, matmul, bias) as one tape node; returns the
+    N x M x d block whose entry (j, i) is patient j's modality-i embedding.
 
-    ``modalities`` is an ``ObservedRows`` or the list of full N x F_i
-    matrices, whose observed rows are then gathered here. Modality i's
-    encoder reads only the rows where ``mask[:, i]`` is 1, so its cost is
-    proportional to the patients that have the modality. The rows of the
-    others are exactly zero and their placeholders are never read.
+    ``modalities`` is an ``ObservedRows`` or the full N x F_i matrices,
+    whose observed rows (``mask[:, i]`` 1) are then gathered here; the
+    other entries are exactly zero and their placeholders are never read.
+    With ``dropout`` > 0 each modality's embeddings are multiplied by an
+    N x d inverted-dropout mask drawn from ``rng``, in modality order.
     """
     obs = modalities
     if not isinstance(obs, ObservedRows):
         obs = ObservedRows.of(modalities, mask, enc_params[0][0].data.dtype)
-    hs = []
-    for rows, x_obs, (w1, b1, w2, b2) in zip(obs.rows, obs.blocks, enc_params):
-        h = nm.relu(nm.add(nm.matmul(nm.constant(x_obs), w1), b1))
-        hs.append(nm.scatter_rows(nm.add(nm.matmul(h, w2), b2), rows,
-                                  obs.n_patients))
-    return hs
+    w_last = enc_params[0][2].data
+    n, d = obs.n_patients, w_last.shape[1]
+    block = np.zeros((n, len(enc_params), d), dtype=w_last.dtype)
+    hidden = []
+    for i, (rows, x, params) in enumerate(zip(obs.rows, obs.blocks,
+                                              enc_params)):
+        h, out = nm.mlp_forward(x, *params)
+        keep = None
+        if dropout > 0:
+            keep = nm.dropout_mask((n, d), dropout, rng, block.dtype)[rows]
+            out *= keep
+        block[rows, i] = out
+        hidden.append((h, keep))
+
+    def backward(g):
+        for i, (rows, x, (h, keep)) in enumerate(zip(obs.rows, obs.blocks,
+                                                     hidden)):
+            g_out = g[rows, i]
+            if keep is not None:
+                g_out *= keep
+            nm.mlp_backward(x, h, g_out, *enc_params[i])
+
+    return nm.Tensor(block, parents=tuple(p for ps in enc_params for p in ps),
+                     backward=backward, op="encode")
 
 
-def fuse_multi_head(h_list, mask, att_params):
-    """Multi-head fusion over the stacked N x M x d embeddings: W_lin
-    transform, contiguous channel split across K heads, masked softmax over
-    the modalities of each head, attention-weighted sum, concat, output
-    projection.
+def fuse_multi_head(h, mask, att_params):
+    """Multi-head fusion over the N x M x d block ``h`` as one tape node:
+    W_lin transform, contiguous channel split across K heads, masked
+    softmax over the modalities of each head, attention-weighted sum,
+    concat, output projection. The head logits are one product of the
+    transformed block with the d x K block-diagonal matrix of the per-head
+    attention vectors.
 
-    Returns (N x M x K attention tensor, fused N x d tensor).
+    Returns (N x M x K attention array, fused N x d tensor).
     """
-    _check_mask(mask, len(h_list))
+    n, m, d = h.shape
+    _check_mask(mask, m)
     heads, d_h = att_params["heads"], att_params["d_h"]
-    n, m = np.shape(mask)
-    h = nm.reshape(nm.concat_last_dim(h_list), (n * m, heads * d_h))
-    t = nm.reshape(nm.matmul(h, att_params["w_lin"]), (n, m, heads, d_h))
-    w_att = nm.concat_last_dim(att_params["w_att"])  # d_h x K
-    att = nm.masked_softmax(nm.einsum("nmkh,hk->nmk", t, w_att), mask)
-    z = nm.reshape(nm.einsum("nmk,nmkh->nkh", att, t), (n, heads * d_h))
-    return att, nm.matmul(z, att_params["w_out"])
+    w_lin, w_att, w_out = (att_params[k] for k in ("w_lin", "w_att", "w_out"))
+    h2 = h.data.reshape(n * m, d)
+    t = h2 @ w_lin.data
+    t4 = t.reshape(n, m, heads, d_h)
+    att_mat = block_diag(*(w.data for w in w_att))  # d x K
+    att = nm.masked_softmax_probs((t @ att_mat).reshape(n, m, heads), mask)
+    fused = np.einsum("nmk,nmkh->nkh", att, t4).reshape(n, d)
+
+    def backward(g):
+        nm.accumulate(w_out, fused.T @ g)
+        g_fused = (g @ w_out.data.T).reshape(n, 1, heads, d_h)
+        g_logits = nm.masked_softmax_grad(att, (g_fused * t4).sum(axis=3))
+        g_logits = g_logits.reshape(n * m, heads)
+        g_t = (att[..., None] * g_fused).reshape(n * m, d)
+        g_t += g_logits @ att_mat.T
+        g_att = t.T @ g_logits
+        for k, w in enumerate(w_att):
+            nm.accumulate(w, g_att[k * d_h:(k + 1) * d_h, k:k + 1])
+        nm.accumulate(w_lin, h2.T @ g_t)
+        nm.accumulate(h, (g_t @ w_lin.data.T).reshape(n, m, d))
+
+    z = nm.Tensor(fused @ w_out.data, parents=(h, w_lin, *w_att, w_out),
+                  backward=backward, op="fuse_multi_head")
+    return att, z
 
 
-def equal_weight_fuse(h_list, mask):
-    """Fusion ablation: plain mean of the available modality embeddings."""
-    _check_mask(mask, len(h_list))
-    n, m = np.shape(mask)
-    h = nm.reshape(nm.concat_last_dim(h_list), (n, m, -1))
+def equal_weight_fuse(h, mask):
+    """Fusion ablation: plain mean of the available modality embeddings of
+    the N x M x d block ``h``, as one tape node."""
+    _check_mask(mask, h.shape[1])
     w = np.asarray(mask, dtype=h.data.dtype)
-    w = nm.constant(w / w.sum(axis=1, keepdims=True))
-    return nm.einsum("nm,nmd->nd", w, h)
+    w = w / w.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        nm.accumulate(h, w[:, :, None] * g[:, None, :])
+
+    return nm.Tensor(np.einsum("nm,nmd->nd", w, h.data), parents=(h,),
+                     backward=backward, op="equal_weight_fuse")
 
 
 def _check_mask(mask, n_modalities):

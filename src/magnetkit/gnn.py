@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,9 +18,10 @@ class ModelError(ValueError):
 
 @dataclass
 class GraphView:
-    """Node-level operators for one graph: the row-normalised adjacency and
-    each node's mean incident edge feature. A node with an empty
-    neighbourhood has a zero row in both, so it aggregates to zero."""
+    """Node-level operators for one graph: the row-normalised adjacency A,
+    its transpose (for the backward pass) and each node's mean incident
+    edge feature. A node with an empty neighbourhood has a zero row in A
+    and in the edge means, so it aggregates to zero."""
 
     n_nodes: int
     mean_adj: object        # N x N sparse, rows sum to 1 (0 if isolated)
@@ -34,33 +36,71 @@ class GraphView:
         edge_mean = np.zeros((n, 1), dtype=dtype)
         if edge_features_on:
             edge_mean[:, 0] = np.bincount(dst, weights=feat, minlength=n) * inv
-        return cls(
-            n_nodes=n,
-            mean_adj=sp.csr_matrix((inv[dst], (dst, src)), shape=(n, n),
-                                   dtype=dtype),
-            edge_mean=edge_mean,
-        )
+        return cls(n_nodes=n, mean_adj=sp.csr_matrix(
+            (inv[dst], (dst, src)), shape=(n, n), dtype=dtype),
+            edge_mean=edge_mean)
+
+    @cached_property
+    def mean_adj_t(self):
+        """A's transpose, built by the first backward pass that needs it
+        (an evaluation never does)."""
+        return self.mean_adj.T.tocsr()
 
 
-def sage_layer(z, view, params):
-    """One GraphSAGE step: ReLU(z W_root + ([A z || e] W_msg) W_agg).
+def sage_layer(z, view, params, dropout=0.0, rng=None):
+    """One GraphSAGE step as one tape node:
+    ReLU(z W_root + ((A z) W_msg[:d] + e W_msg[d]) W_agg).
 
     The mean of the messages W_msg [z_v || e_uv] over u's neighbours is
     linear, so it equals W_msg applied to the mean neighbour embedding
-    (A z, A row-normalised) and the mean edge feature e.
+    (A z, A row-normalised) and the mean edge feature e. With ``dropout``
+    > 0 the output is multiplied by an N x d mask drawn from ``rng``.
     """
     if z.shape[0] != view.n_nodes:
         raise ModelError("embedding row count does not match graph")
-    neigh = nm.concat_last_dim([nm.sparse_matmul_const(view.mean_adj, z),
-                                nm.constant(view.edge_mean)])
-    agg = nm.matmul(nm.matmul(neigh, params["w_msg"]), params["w_agg"])
-    root = nm.matmul(z, params["w_root"])
-    return nm.relu(nm.add(root, agg))
+    w_root, w_msg, w_agg = (params[k] for k in ("w_root", "w_msg", "w_agg"))
+    d = z.shape[1]
+    x = z.data
+    az = view.mean_adj @ x
+    msg = az @ w_msg.data[:d]
+    msg += view.edge_mean @ w_msg.data[d:]
+    pre = x @ w_root.data
+    pre += msg @ w_agg.data
+    active = pre > 0
+    out = pre * active
+    if dropout > 0:
+        keep = nm.dropout_mask(out.shape, dropout, rng, out.dtype)
+        out *= keep
+
+    def backward(g):
+        g = g * active
+        if dropout > 0:
+            g *= keep
+        nm.accumulate(w_root, x.T @ g)
+        nm.accumulate(w_agg, msg.T @ g)
+        g_msg = g @ w_agg.data.T
+        nm.accumulate(w_msg, np.vstack((az.T @ g_msg,
+                                        view.edge_mean.T @ g_msg)))
+        g_z = g @ w_root.data.T
+        g_z += view.mean_adj_t @ (g_msg @ w_msg.data[:d].T)
+        nm.accumulate(z, g_z)
+
+    return nm.Tensor(out, parents=(z, w_root, w_msg, w_agg), backward=backward,
+                     op="sage")
 
 
 def decode(z, dec_params):
-    h = nm.relu(nm.add(nm.matmul(z, dec_params["w1"]), dec_params["b1"]))
-    return nm.add(nm.matmul(h, dec_params["w2"]), dec_params["b2"])
+    """The two-layer MLP decoder, ReLU(z W1 + b1) W2 + b2, as one tape
+    node."""
+    params = [dec_params[k] for k in ("w1", "b1", "w2", "b2")]
+    h, logits = nm.mlp_forward(z.data, *params)
+
+    def backward(g):
+        g_h = nm.mlp_backward(z.data, h, g, *params)
+        nm.accumulate(z, g_h @ params[0].data.T)
+
+    return nm.Tensor(logits, parents=(z, *params), backward=backward,
+                     op="decode")
 
 
 @dataclass
@@ -122,12 +162,16 @@ def param_table(feature_dims, n_classes, config):
     yield "dec.b2", (n_classes,), _zeros
 
 
-def init_model(feature_dims, n_classes, config, rng):
-    """Build the parameter registry of ``param_table`` in the run dtype and
-    group its tensors by layer."""
+def init_model(feature_dims, n_classes, config, rng=None, values=None):
+    """Build the parameters of ``param_table`` in one flat buffer of the
+    run dtype, filled from the ``values`` table by name if given (a stored
+    model, already checked against the table), else drawn from ``rng``;
+    group them by layer."""
+    table = list(param_table(feature_dims, n_classes, config))
     g = nm.ComputeGraph(config.dtype)
-    for name, shape, init in param_table(feature_dims, n_classes, config):
-        g.add_parameter(name, init(rng, shape))
+    for p, (name, shape, init) in zip(
+            g.add_parameters((name, shape) for name, shape, _ in table), table):
+        p.data[...] = init(rng, shape) if values is None else values[name]
     p = g.params
     attention = None
     if not config.no_pmmha:
@@ -153,19 +197,15 @@ def forward(params, modalities, mask, view, config, rng=None, training=False):
     embedding tensor).
     """
     drop = config.dropout if training else 0.0
-    hs = fu.encode(modalities, mask, params.encoders)
-    if drop > 0:
-        hs = [nm.dropout(h, drop, rng) for h in hs]
+    h = fu.encode(modalities, mask, params.encoders, drop, rng)
     if params.attention is None:
-        atts, z = [], fu.equal_weight_fuse(hs, mask)
+        atts, z = [], fu.equal_weight_fuse(h, mask)
     else:
-        att, z = fu.fuse_multi_head(hs, mask, params.attention)
-        atts = list(np.moveaxis(att.data, 2, 0))
+        att, z = fu.fuse_multi_head(h, mask, params.attention)
+        atts = list(np.moveaxis(att, 2, 0))
     state = fu.FusionState(attention=atts, Z=z.data)
     z_out = z
     for layer_params in params.sage:
-        z_out = sage_layer(z_out, view, layer_params)
-        if drop > 0:
-            z_out = nm.dropout(z_out, drop, rng)
+        z_out = sage_layer(z_out, view, layer_params, drop, rng)
     logits = decode(z_out, params.decoder)
     return logits, state, z, z_out

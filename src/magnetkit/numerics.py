@@ -1,11 +1,12 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Covers exactly the operations needed by the rest of the package: dense
-matmul, two-operand einsum, row-bias addition, ReLU, row gather and
-scatter, masked softmax over the modality axis, sparse-constant matrix
-products for graph aggregation, a stabilized cross-entropy and the
-Student-t KL alignment loss as one fused node. Everything is double
-precision by default; float32 is opt-in for the scalability benchmark.
+Each model layer is one tape node with a closed-form backward, built in
+its layer function (`fusion.encode`, `fusion.fuse_multi_head`,
+`gnn.sage_layer`, `gnn.decode`). This module holds the tape, the
+parameter registry, the MLP, masked-softmax and dropout kernels the
+layers share, a row gather and the Student-t KL alignment loss. Every
+parameter is a view into one flat array and its gradient a view into one
+flat gradient array. Double precision by default; float32 is opt-in.
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ class Tensor:
     """Node in the implicit compute tape.
 
     ``data`` is a row-major numpy array. A parameter's array is the one
-    live copy of its weights and the optimizer updates it in place; no
-    other node's array is written after creation. Non-leaf tensors carry
-    references to their parents and a backward closure. A node requires a
-    gradient when it is created with ``requires_grad`` or when any parent
-    does; backward visits only such nodes, so constants never get a grad.
+    live copy of its weights, a view into its registry's flat buffer, and
+    the optimizer updates it in place; no other node's array is written
+    after creation. Non-leaf tensors carry references to their parents and
+    a backward closure. A node requires a gradient when it is created with
+    ``requires_grad`` or when any parent does; backward visits only such
+    nodes, so constants never get a grad. ``grad_out`` is a parameter's
+    view of the flat gradient array (None for other tensors).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "parents", "_backward", "op")
+    __slots__ = ("data", "requires_grad", "grad", "parents", "_backward", "op",
+                 "grad_out")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None,
                  op="leaf", checked=False):
@@ -56,66 +60,75 @@ class Tensor:
         self.parents = parents
         self._backward = backward
         self.op = op
+        self.grad_out = None
 
     @property
     def shape(self):
         return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(op={self.op}, shape={self.data.shape})"
-
-
-def constant(data):
-    return Tensor(data, requires_grad=False, op="const")
 
 
 class ComputeGraph:
     """Named registry of leaf parameters plus the backward driver.
 
     The tape itself lives on the tensors (parent links); this object only
-    tracks which leaves are trainable parameters.
+    tracks which leaves are trainable parameters. Their arrays are views
+    into ``flat`` and their gradients views into ``grad``, both in the
+    registry's dtype and in registration order.
     """
 
     def __init__(self, dtype=DEFAULT_DTYPE):
         self.params = {}
         self.dtype = dtype
+        self.flat = np.zeros(0, dtype=dtype)
+        self.grad = np.zeros(0, dtype=dtype)
+
+    def add_parameters(self, shapes):
+        """Register zero-filled trainable leaves for the (name, shape)
+        pairs and return them. Every parameter is laid out anew in the flat
+        arrays, keeping its values, so a model is best added at once."""
+        new = []
+        for name, shape in shapes:
+            if name in self.params:
+                raise NumericsError(f"duplicate parameter name {name!r}")
+            new.append(Tensor(np.zeros(shape, dtype=self.dtype),
+                              requires_grad=True, op="param"))
+            self.params[name] = new[-1]
+        ends = np.cumsum([0] + [p.data.size for p in self.params.values()])
+        self.flat = np.empty(ends[-1], dtype=self.dtype)
+        self.grad = np.zeros(ends[-1], dtype=self.dtype)
+        for p, lo, hi in zip(self.params.values(), ends[:-1], ends[1:]):
+            view = self.flat[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data, p.grad_out = view, self.grad[lo:hi].reshape(view.shape)
+        return new
 
     def add_parameter(self, name, data):
         """Register a trainable leaf holding a copy of ``data`` in the
         registry's dtype."""
-        if name in self.params:
-            raise NumericsError(f"duplicate parameter name {name!r}")
-        p = Tensor(np.array(data, dtype=self.dtype), requires_grad=True,
-                   op="param")
-        self.params[name] = p
+        p, = self.add_parameters([(name, np.shape(data))])
+        p.data[...] = data
         return p
 
     def backward(self, loss):
-        """Reverse-mode gradients of a scalar loss for all registered parameters."""
+        """Reverse-mode gradients of a scalar loss, written into the views
+        of the flat gradient array; returns them by parameter name. A
+        parameter the loss does not reach gets zeros."""
         if loss.data.shape != ():
             raise NumericsError("backward requires a scalar loss")
         topo = _toposort(loss)
-        for node in topo:
+        for node in (*topo, *self.params.values()):
             node.grad = None
-        loss.grad = np.ones((), dtype=loss.data.dtype)
+        accumulate(loss, np.ones((), dtype=loss.data.dtype))
         for node in reversed(topo):
-            if node.grad is None or node._backward is None:
-                continue
-            node._backward(node.grad)
-        grads = {}
-        for name, p in self.params.items():
+            if node.grad is not None and node._backward is not None:
+                node._backward(node.grad)
+        for p in self.params.values():
             if p.grad is None:
-                grads[name] = np.zeros_like(p.data)
-            else:
-                grads[name] = p.grad
-        return grads
+                p.grad_out[...] = 0
+        return {name: p.grad_out for name, p in self.params.items()}
 
     def values(self):
         return {name: p.data for name, p in self.params.items()}
-
-    def set_values(self, values):
-        for name, p in self.params.items():
-            p.data = np.asarray(values[name], dtype=p.data.dtype).reshape(p.data.shape)
 
 
 def _toposort(root):
@@ -139,219 +152,104 @@ def _toposort(root):
     return order
 
 
-def _accum(tensor, grad):
+def accumulate(tensor, grad):
+    """Add ``grad`` to ``tensor``'s gradient in this backward pass. A
+    parameter's first gradient is written into its flat-gradient view and
+    later ones are added there."""
     if not tensor.requires_grad:
         return
-    if tensor.grad is None:
-        tensor.grad = grad
+    out = tensor.grad_out
+    if out is None:
+        tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+    elif tensor.grad is None:
+        out[...] = grad
+        tensor.grad = out
     else:
-        tensor.grad = tensor.grad + grad
+        out += grad
 
 
 # ---------------------------------------------------------------------------
-# ops
+# kernels shared by the layer nodes
 
 
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise NumericsError(f"matmul shape mismatch {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return Tensor(out_data, parents=(a, b), backward=backward, op="matmul")
+def mlp_forward(x, w1, b1, w2, b2):
+    """ReLU(x W1 + b1) W2 + b2 of an array and four parameter tensors;
+    returns the hidden activations and the output."""
+    h = x @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+    return h, out
 
 
-def add(a, b):
-    """Elementwise addition; the only broadcast allowed is a row-vector bias."""
-    if a.data.shape == b.data.shape:
-        def backward(g):
-            _accum(a, g)
-            _accum(b, g)
-    elif a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]:
-        def backward(g):
-            _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g.sum(axis=0))
+def mlp_backward(x, h, g, w1, b1, w2, b2):
+    """Accumulate the parameter gradients of ``mlp_forward`` for the output
+    gradient ``g``; returns the gradient of the first layer's output."""
+    accumulate(b2, g.sum(axis=0))
+    accumulate(w2, h.T @ g)
+    g_h = g @ w2.data.T
+    g_h *= h > 0
+    accumulate(b1, g_h.sum(axis=0))
+    accumulate(w1, x.T @ g_h)
+    return g_h
+
+
+def dropout_mask(shape, rate, rng, dtype):
+    """Inverted-dropout multipliers: 0 with probability ``rate``, else
+    1 / (1 - rate); one ``rng.random(shape)`` draw."""
+    return np.multiply(rng.random(shape) >= rate, 1.0 / (1.0 - rate),
+                       dtype=dtype)
+
+
+def masked_softmax_probs(logits, mask):
+    """Softmax over axis 1 of an N x M or N x M x ... array (e.g. one
+    column per head) restricted to the entries where the N x M ``mask`` is
+    1. Masked entries get exactly zero probability, and through
+    ``masked_softmax_grad`` exactly zero gradient: an additive -1e30, then
+    explicit zeroing, avoids true -inf arithmetic. Every row of the mask
+    needs a 1 (``fusion`` checks)."""
+    m = np.asarray(mask, dtype=logits.dtype)
+    m = m.reshape(m.shape + (1,) * (logits.ndim - 2))
+    z = logits + (m - 1.0) * NEG_MASK
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z) * m
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def masked_softmax_grad(p, g):
+    """Gradient of the logits of ``masked_softmax_probs`` output ``p``
+    given the output gradient ``g``; zero wherever p is."""
+    gp = g * p
+    return gp - p * gp.sum(axis=1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# objective nodes
+
+
+def rows_grad(like, idx, g):
+    """The gradient of a row gather ``like[idx]``: ``g`` summed into the
+    rows ``idx`` of a zero array shaped like ``like``. Indices strictly
+    increasing from 0 up (a training split) never repeat a row, so they
+    place rows instead of the much slower np.add.at; a negative index may
+    name a later row."""
+    full = np.zeros_like(like)
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size == 0 or (idx[0] >= 0 and np.all(idx[1:] > idx[:-1])):
+        full[idx] = g
     else:
-        raise NumericsError(f"add shape mismatch {a.shape} + {b.shape}")
-    return Tensor(a.data + b.data, parents=(a, b), backward=backward, op="add")
-
-
-def scale(a, c):
-    c = float(c)
-
-    def backward(g):
-        _accum(a, g * c)
-
-    return Tensor(a.data * c, parents=(a,), backward=backward, op="scale")
-
-
-def relu(a):
-    keep = a.data > 0
-
-    def backward(g):
-        _accum(a, g * keep)
-
-    return Tensor(a.data * keep, parents=(a,), backward=backward, op="relu")
-
-
-def concat_last_dim(tensors):
-    if not tensors:
-        raise NumericsError("concat of nothing")
-    lead = tensors[0].data.shape[:-1]
-    for t in tensors:
-        if t.data.shape[:-1] != lead:
-            raise NumericsError("concat leading-shape mismatch")
-    out_data = np.concatenate([t.data for t in tensors], axis=-1)
-    widths = [t.data.shape[-1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[..., lo:hi])
-
-    return Tensor(out_data, parents=tuple(tensors), backward=backward, op="concat")
-
-
-def reshape(a, shape):
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), parents=(a,), backward=backward, op="reshape")
-
-
-def einsum(spec, a, b):
-    """Two-operand ``np.einsum`` with an explicit output, e.g. "nm,nmd->nd".
-
-    The grad of each operand is the einsum of the output grad with the
-    other operand, spec swapped. That holds only if every index of an
-    operand also appears in the other operand or in the output, so an
-    index summed inside one operand is rejected.
-    """
-    ins, arrow, out = spec.partition("->")
-    sa, _, sb = ins.partition(",")
-    if not arrow or not sb or "," in sb:
-        raise NumericsError(f"einsum spec {spec!r} needs two operands and '->'")
-    for own, other in ((sa, sb), (sb, sa)):
-        if len(set(own)) != len(own) or set(own) - set(other) - set(out):
-            raise NumericsError(
-                f"einsum spec {spec!r} sums an index inside one operand")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
-        if b.requires_grad:
-            _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
-
-    return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b),
-                  backward=backward, op="einsum")
+        np.add.at(full, idx, g)
+    return full
 
 
 def select_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
-    # strictly increasing indices from 0 up (a training split) never repeat
-    # a row, so the backward can place rows instead of the much slower
-    # np.add.at; a negative index may name the same row as a later one
-    distinct = idx.size == 0 or (
-        idx[0] >= 0 and bool(np.all(idx[1:] > idx[:-1])))
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        if distinct:
-            full[idx] = g
-        else:
-            np.add.at(full, idx, g)
-        _accum(a, full)
+        accumulate(a, rows_grad(a.data, idx, g))
 
     return Tensor(a.data[idx], parents=(a,), backward=backward, op="select")
-
-
-def scatter_rows(a, idx, n_rows):
-    """The rows of ``a`` placed at the distinct row indices ``idx`` of an
-    ``n_rows``-row zero block; the inverse of ``select_rows``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != a.data.shape[:1]:
-        raise NumericsError(f"scatter of {a.shape} to {idx.shape} row indices")
-    out = np.zeros((n_rows,) + a.data.shape[1:], dtype=a.data.dtype)
-    out[idx] = a.data
-
-    def backward(g):
-        _accum(a, g[idx])
-
-    return Tensor(out, parents=(a,), backward=backward, op="scatter")
-
-
-def sparse_matmul_const(mat, a):
-    """Product of a constant scipy sparse matrix with a dense tensor."""
-    out_data = np.asarray(mat @ a.data)
-
-    def backward(g):
-        _accum(a, np.asarray(mat.T @ g))
-
-    return Tensor(out_data, parents=(a,), backward=backward, op="spmm")
-
-
-def dropout(a, rate, rng):
-    if rate <= 0.0:
-        return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    keep = keep.astype(a.data.dtype)
-
-    def backward(g):
-        _accum(a, g * keep)
-
-    return Tensor(a.data * keep, parents=(a,), backward=backward, op="dropout")
-
-
-def masked_softmax(logits, mask):
-    """Softmax over axis 1 restricted to mask==1 entries.
-
-    ``logits`` is N x M or N x M x ... (e.g. one column per head); the
-    N x M ``mask`` is broadcast over the trailing axes. Masked entries get
-    exactly zero probability and exactly zero gradient; implemented as an
-    additive -1e30 followed by explicit zeroing, avoiding true -inf
-    arithmetic.
-    """
-    m = np.asarray(mask, dtype=logits.data.dtype)
-    if m.ndim != 2 or m.shape != logits.data.shape[:2]:
-        raise NumericsError("mask shape mismatch")
-    if np.any(m.sum(axis=1) < 1):
-        raise NumericsError("patient with no available modality")
-    m = m.reshape(m.shape + (1,) * (logits.data.ndim - 2))
-    z = logits.data + (m - 1.0) * NEG_MASK
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z) * m
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        gp = g * p
-        _accum(logits, gp - p * gp.sum(axis=1, keepdims=True))
-
-    return Tensor(p, parents=(logits,), backward=backward, op="masked_softmax")
-
-
-def cross_entropy_sum(logits, labels):
-    """Sum over rows of -log softmax(logits)[label], log-sum-exp stabilized."""
-    y = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or y.shape != (logits.data.shape[0],):
-        raise NumericsError("cross_entropy shape mismatch")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    rows = np.arange(len(y))
-    loss = (lse - z[rows, y]).sum()
-    probs = np.exp(z - lse[:, None])
-
-    def backward(g):
-        d = probs.copy()
-        d[rows, y] -= 1.0
-        _accum(logits, g * d)
-
-    return Tensor(np.asarray(loss), parents=(logits,), backward=backward, op="ce")
 
 
 def student_t_kl(z, p, weights, p_log_p):
@@ -362,7 +260,7 @@ def student_t_kl(z, p, weights, p_log_p):
     W * k / S on the pairs the constant ``weights`` W marks (1 valid, 0 not)
     and S = sum(W * k). ``p_log_p`` is the constant sum of p log p, so
     KL = p_log_p + sum(p log(1 + d)) + log S. P and W must be symmetric
-    (``objective.AlignmentTarget`` makes them so). The backward is the
+    (``objective.build_P`` builds them so). The backward is the
     t-SNE gradient: with the symmetric G = k * (P - W * k / S),
     dz = 4 (rowsum G * z - G z).
 
@@ -416,7 +314,7 @@ def student_t_kl(z, p, weights, p_log_p):
         dz = acc[:, dim:] * x
         dz -= acc[:, :dim]
         dz *= 4.0 * float(g)
-        _accum(z, dz)
+        accumulate(z, dz)
 
     value = np.asarray(p_log_p + cross + np.log(s), dtype=x.dtype)
     return Tensor(value, parents=(z,), backward=backward, op="student_t_kl")

@@ -14,9 +14,29 @@ class ObjectiveError(ValueError):
     pass
 
 
-def ce_loss(logits, labels):
-    """Summed cross-entropy over the given rows (training patients only)."""
-    return nm.cross_entropy_sum(logits, labels)
+def ce_loss(logits, labels, rows=None):
+    """Summed cross-entropy, log-sum-exp stabilized, over the rows of
+    ``logits`` that the training patients occupy, as one tape node: label
+    i belongs to row ``rows[i]`` (all rows if ``rows`` is None), and the
+    other rows get a zero gradient."""
+    y = np.asarray(labels, dtype=np.int64)
+    x = logits.data if rows is None else logits.data[rows]
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise nm.NumericsError("cross_entropy shape mismatch")
+    z = x - x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    at = np.arange(len(y))
+    probs = np.exp(z - lse[:, None])
+
+    def backward(g):
+        d = probs.copy()
+        d[at, y] -= 1.0
+        d *= g
+        nm.accumulate(logits, d if rows is None
+                      else nm.rows_grad(logits.data, rows, d))
+
+    return nm.Tensor(np.asarray((lse - z[at, y]).sum()), parents=(logits,),
+                     backward=backward, op="ce")
 
 
 @dataclass(frozen=True)
@@ -24,32 +44,13 @@ class AlignmentTarget:
     """The constants of the alignment loss, built once per training run.
 
     ``p`` is the N x N pair distribution P, ``weights`` is 1 on the valid
-    pairs and 0 elsewhere, both in the run dtype; ``p_log_p`` is the
-    constant sum of p log p over p > 0. The loss sees P and the weights only
-    through their symmetric parts (its kernel is symmetric), so both are
-    stored symmetrised; a symmetric input is kept bit for bit.
+    pairs and 0 elsewhere, both symmetric and in the run dtype; ``p_log_p``
+    is the constant sum of p log p over p > 0.
     """
 
     p: np.ndarray
     weights: np.ndarray
     p_log_p: float
-
-    @classmethod
-    def of(cls, p, valid, dtype=np.float64):
-        p = np.asarray(p, dtype=dtype)
-        pos = p[p > 0].astype(np.float64, copy=False)
-        p_log_p = float((pos * np.log(pos)).sum())
-        del pos
-        return cls(p=_symmetric_part(p, dtype),
-                   weights=_symmetric_part(np.asarray(valid), dtype),
-                   p_log_p=p_log_p)
-
-
-def _symmetric_part(a, dtype):
-    """(a + a^T) / 2 in ``dtype``, built in one new array."""
-    out = np.add(a, a.T, dtype=dtype)
-    out *= 0.5
-    return out
 
 
 def build_P(sims, train_ids, dtype=np.float64):
@@ -57,22 +58,28 @@ def build_P(sims, train_ids, dtype=np.float64):
     ordered pairs i != j, then normalize globally.
 
     Returns the AlignmentTarget over train_ids; its valid pairs have a zero
-    diagonal.
+    diagonal. The similarity matrix is symmetric, so P and W are too, bit
+    for bit.
     """
     idx = np.asarray(train_ids, dtype=np.int64)
-    vals = sims.values[np.ix_(idx, idx)]
-    valid = sims.valid[np.ix_(idx, idx)].copy()
+    block = np.ix_(idx, idx)
+    vals = sims.values[block]
+    valid = sims.valid[block]
     np.fill_diagonal(valid, False)
     if not valid.any():
         raise ObjectiveError("no valid patient pair for the alignment loss")
     aff = np.where(valid, (1.0 + vals) / 2.0, 0.0)
+    del vals
     total = aff.sum()
     if total <= 0:
         # all valid pairs at cosine -1; fall back to uniform over valid pairs
         aff = valid.astype(float)
         total = aff.sum()
     aff /= total
-    return AlignmentTarget.of(aff, valid, dtype)
+    p = aff.astype(dtype, copy=False)
+    pos = p[p > 0].astype(np.float64, copy=False)
+    return AlignmentTarget(p=p, weights=valid.astype(dtype),
+                           p_log_p=float((pos * np.log(pos)).sum()))
 
 
 def kl_alignment_loss(z_tensor, target):
@@ -82,9 +89,16 @@ def kl_alignment_loss(z_tensor, target):
 
 
 def total_loss(ce, kl, lam):
-    """ce + lambda * kl on tensors; lambda 0 disables the alignment term."""
+    """ce + lambda * kl as one tape node; lambda 0 disables the alignment
+    term (``kl`` may then be None)."""
     if lam < 0:
         raise ObjectiveError("lambda must be nonnegative")
     if lam == 0:
         return ce
-    return nm.add(ce, nm.scale(kl, lam))
+
+    def backward(g):
+        nm.accumulate(ce, g)
+        nm.accumulate(kl, g * lam)
+
+    return nm.Tensor(ce.data + kl.data * lam, parents=(ce, kl),
+                     backward=backward, op="total")

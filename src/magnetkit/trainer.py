@@ -96,45 +96,58 @@ def learning_rate_at(config, epoch):
     return config.learning_rate * config.lr_decay ** (epoch // config.decay_every)
 
 
+# Elements per step of Adam's walk over the flat arrays (cache-sized).
+ADAM_CHUNK = 1 << 15
+
+
 @dataclass
 class AdamState:
-    """First/second moments per parameter with the optimizer's conventional
-    constants (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """First/second moments of the flat parameter array with the
+    optimizer's conventional constants (beta1 0.9, beta2 0.999, eps 1e-8)."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, values):
-        return cls(m={k: np.zeros_like(a) for k, a in values.items()},
-                   v={k: np.zeros_like(a) for k, a in values.items()})
+    def for_params(cls, flat):
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
-def adam_step(values, grads, state, lr):
-    """Standard bias-corrected Adam update, written into the arrays of
-    ``values`` and the moments of ``state`` in place."""
+def adam_step(graph, state, lr):
+    """Standard bias-corrected Adam update of ``graph``'s flat parameter
+    array from its flat gradient, written in place, ``ADAM_CHUNK`` elements
+    at a time."""
+    grad = graph.grad
+    if not np.isfinite(grad).all():
+        bad = next(name for name, p in graph.params.items()
+                   if not np.all(np.isfinite(p.grad_out)))
+        raise DivergenceError(f"non-finite gradient for {bad!r}")
     state.step += 1
     t = state.step
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {name!r}")
-        g = g.astype(values[name].dtype, copy=False)
-        m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * (g * g)
-        step = m / (1 - state.beta1 ** t)
+    b1, b2 = state.beta1, state.beta2
+    buf = np.empty((2, min(ADAM_CHUNK, grad.size)), dtype=grad.dtype)
+    for lo in range(0, grad.size, ADAM_CHUNK):
+        part = slice(lo, lo + ADAM_CHUNK)
+        g, m, v = grad[part], state.m[part], state.v[part]
+        step, denom = buf[:, :g.size]
+        m *= b1
+        np.multiply(g, 1 - b1, out=step)
+        m += step
+        v *= b2
+        np.multiply(g, g, out=denom)
+        denom *= 1 - b2
+        v += denom
+        np.divide(m, 1 - b1 ** t, out=step)
         step *= lr
-        denom = v / (1 - state.beta2 ** t)
+        np.divide(v, 1 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
         denom += state.eps
         step /= denom
-        values[name] -= step
+        graph.flat[part] -= step
 
 
 class LabelGuard:
@@ -219,8 +232,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
     inputs = fu.ObservedRows.of(ds.modalities, ds.mask, dtype)
-    values = params.graph.values()
-    adam = AdamState.for_params(values)
+    adam = AdamState.for_params(params.graph.flat)
 
     report = TrainReport(config=config.to_dict())
     report.crossing_edges_in_train_view = _count_crossing(
@@ -231,21 +243,16 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
         lr = learning_rate_at(config, epoch)
         logits, _, z_fused, _ = gnn.forward(params, inputs, ds.mask, view,
                                             config, rng=rng, training=True)
-        logits_train = nm.select_rows(logits, train_idx)
-        ce = obj.ce_loss(logits_train, y_train)
-        if config.lam > 0:
-            z_tr = nm.select_rows(z_fused, train_idx)
-            kl = obj.kl_alignment_loss(z_tr, target)
-            total = obj.total_loss(ce, kl, config.lam)
-            kl_val = float(kl.data)
-        else:
-            total = ce
-            kl_val = 0.0
+        ce = obj.ce_loss(logits, y_train, train_idx)
+        kl = (obj.kl_alignment_loss(nm.select_rows(z_fused, train_idx), target)
+              if config.lam > 0 else None)
+        total = obj.total_loss(ce, kl, config.lam)
+        kl_val = 0.0 if kl is None else float(kl.data)
         total_val = float(total.data)
         if not np.isfinite(total_val):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        grads = params.graph.backward(total)
-        adam_step(values, grads, adam, lr)
+        params.graph.backward(total)
+        adam_step(params.graph, adam, lr)
         report.loss_log.append((epoch, float(ce.data), kl_val, total_val, lr))
     report.train_seconds = time.perf_counter() - started
     report.train_label_reads = guard.reads

@@ -17,8 +17,10 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit import trainer as tr
-from oracles import (build_Q, grad_check, kl_loss, kl_target, log, mul,
-                     shift, sum_all)
+from oracles import (add, alignment_target, build_Q, concat_last_dim,
+                     constant, einsum, grad_check, kl_loss, kl_target, log,
+                     masked_softmax, matmul, mul, relu, scatter_rows,
+                     set_values, shift, sum_all)
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +99,11 @@ def test_criterion_01_gradient_correctness():
 
     def build(values):
         cfg, p, _, _, _ = pipeline_fixture(seed=7)
-        p.graph.set_values(values)
+        set_values(p.graph, values)
         logits, _, z_fused, _ = gnn.forward(p, mods, mask, view, cfg)
         ce = ob.ce_loss(nm.select_rows(logits, train_idx), labels)
         kl = ob.kl_alignment_loss(nm.select_rows(z_fused, train_idx),
-                                  ob.AlignmentTarget.of(p_mat, valid))
+                                  alignment_target(p_mat, valid))
         return ob.total_loss(ce, kl, 0.1), p.graph
 
     assert grad_check(build, start) < 1e-4
@@ -121,34 +123,65 @@ def test_criterion_01_gradient_correctness():
     def sq(t):
         return mul(t, t)
 
+    x_enc = np.random.default_rng(12).normal(size=(4, 3))
+    mask_enc = np.array([[1], [0], [1], [1]])
+    mask_att = np.array([[1, 1], [0, 1], [1, 0]])
+    view_sage = gnn.GraphView.from_graph(gr.PatientGraph(
+        n_nodes=4, edges=np.array([[0, 1], [1, 2]]),
+        similarities=np.array([0.3, -0.6]),
+        reconnection=np.zeros(2, dtype=bool)))
+
     ops = [
-        (lambda t: sum_all(nm.matmul(t["a"], t["b"])),
+        (lambda t: sum_all(matmul(t["a"], t["b"])),
          {"a": (4, 3), "b": (3, 2)}),
         (lambda t: sum_all(mul(t["a"], t["a"])), {"a": (3, 3)}),
-        (lambda t: sum_all(nm.relu(shift(t["a"], 0.05))), {"a": (4, 3)}),
+        (lambda t: sum_all(relu(shift(t["a"], 0.05))), {"a": (4, 3)}),
         (lambda t: sum_all(log(shift(mul(t["a"], t["a"]), 1.0))),
          {"a": (3, 3)}),
         (lambda t: ob.kl_alignment_loss(t["a"], kl_target(4, seed=1)),
          {"a": (4, 2)}),
-        (lambda t: sum_all(sq(nm.einsum("nmkh,hk->nmk", t["a"], t["b"]))),
+        (lambda t: sum_all(sq(einsum("nmkh,hk->nmk", t["a"], t["b"]))),
          {"a": (3, 2, 2, 3), "b": (3, 2)}),
         (lambda t: ob.kl_alignment_loss(t["a"], kl_target(5, seed=2)),
          {"a": (5, 3)}),
-        (lambda t: sum_all(sq(nm.einsum("nmk,nmkh->nkh", t["a"], t["b"]))),
+        (lambda t: sum_all(sq(einsum("nmk,nmkh->nkh", t["a"], t["b"]))),
          {"a": (3, 2, 2), "b": (3, 2, 2, 3)}),
-        (lambda t: sum_all(nm.add(t["a"], t["b"])),
+        (lambda t: sum_all(add(t["a"], t["b"])),
          {"a": (3, 4), "b": (4,)}),
-        (lambda t: nm.cross_entropy_sum(t["a"], np.array([0, 2, 1])),
+        (lambda t: ob.ce_loss(t["a"], np.array([0, 2, 1])),
          {"a": (3, 3)}),
         (lambda t: sum_all(nm.select_rows(t["a"], np.array([0, 2, 2]))),
          {"a": (4, 3)}),
-        (lambda t: sum_all(nm.concat_last_dim([t["a"], t["b"]])),
+        (lambda t: sum_all(concat_last_dim([t["a"], t["b"]])),
          {"a": (3, 2), "b": (3, 3)}),
-        (lambda t: sum_all(sq(nm.einsum("nm,nmd->nd", t["a"], t["b"]))),
+        (lambda t: sum_all(sq(einsum("nm,nmd->nd", t["a"], t["b"]))),
          {"a": (3, 2), "b": (3, 2, 4)}),
-        (lambda t: sum_all(sq(nm.scatter_rows(t["a"], np.array([3, 0, 4]),
+        (lambda t: sum_all(sq(scatter_rows(t["a"], np.array([3, 0, 4]),
                                               6))),
          {"a": (3, 2)}),
+        # the fused layer nodes, masked entries and an isolated node included
+        (lambda t: sum_all(sq(fu.encode(
+            [x_enc], mask_enc, [tuple(t[k] for k in ("a", "b", "c", "d"))]))),
+         {"a": (3, 4), "b": (4,), "c": (4, 2), "d": (2,)}),
+        (lambda t: sum_all(sq(fu.fuse_multi_head(
+            t["a"], mask_att, {"w_lin": t["b"], "w_att": [t["c"], t["d"]],
+                               "w_out": t["e"], "heads": 2, "d_h": 2})[1])),
+         {"a": (3, 2, 4), "b": (4, 4), "c": (2, 1), "d": (2, 1),
+          "e": (4, 4)}),
+        (lambda t: sum_all(sq(fu.equal_weight_fuse(t["a"], mask_att))),
+         {"a": (3, 2, 4)}),
+        (lambda t: sum_all(sq(gnn.sage_layer(
+            t["a"], view_sage, {"w_root": t["b"], "w_msg": t["c"],
+                                "w_agg": t["d"]}))),
+         {"a": (4, 2), "b": (2, 3), "c": (3, 3), "d": (3, 3)}),
+        (lambda t: sum_all(sq(gnn.decode(
+            t["a"], {"w1": t["b"], "b1": t["c"], "w2": t["d"],
+                     "b2": t["e"]}))),
+         {"a": (3, 2), "b": (2, 4), "c": (4,), "d": (4, 3), "e": (3,)}),
+        (lambda t: ob.ce_loss(t["a"], np.array([2, 0]), np.array([1, 3])),
+         {"a": (4, 3)}),
+        (lambda t: ob.total_loss(sum_all(sq(t["a"])), sum_all(t["b"]), 0.3),
+         {"a": (2, 2), "b": (3,)}),
     ]
     for i, (op, shapes) in enumerate(ops):
         assert simple(op, shapes, seed=100 + i) < 1e-6, f"op #{i}"
@@ -168,7 +201,7 @@ def test_criterion_02_masked_attention_contract():
         mask[np.arange(n), rng.integers(0, m, size=n)] = 1
         g = nm.ComputeGraph()
         t = g.add_parameter("logits", logits)
-        p = nm.masked_softmax(t, mask)
+        p = masked_softmax(t, mask)
         assert np.all(p.data[mask == 0] == 0.0)
         assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
         grads = g.backward(sum_all(mul(p, p)))
@@ -260,7 +293,7 @@ def test_criterion_05_loss_oracles():
         p = np.exp(row - row.max())
         p /= p.sum()
         ref_ce += -math.log(p[y])
-    got = float(ob.ce_loss(nm.constant(logits), labels).data)
+    got = float(ob.ce_loss(constant(logits), labels).data)
     assert abs(got - ref_ce) < 1e-10
 
     # P

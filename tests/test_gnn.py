@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 from magnetkit import gnn
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
+from magnetkit import objective as ob
 from magnetkit.trainer import RunConfig
-from oracles import grad_check, init_decoder_params, mul, sum_all
+from oracles import (constant, grad_check, init_decoder_params, mul,
+                     set_values, sum_all)
 
 
 def make_view(edges, sims=None, n=None, **kw):
@@ -44,7 +46,7 @@ def brute_sage(z, edges, sims, w_root, w_msg, w_agg):
 
 
 def test_sage_single_neighbor_identity_weights():
-    z = nm.constant(np.array([[1.0, -2.0], [3.0, 4.0]]))
+    z = constant(np.array([[1.0, -2.0], [3.0, 4.0]]))
     _, params = make_sage({"w_root": np.eye(2),
                            "w_msg": np.vstack([np.eye(2), np.zeros((1, 2))]),
                            "w_agg": np.eye(2)})
@@ -55,7 +57,7 @@ def test_sage_single_neighbor_identity_weights():
 
 def test_sage_zero_agg_is_graph_independent():
     rng = np.random.default_rng(0)
-    z = nm.constant(rng.normal(size=(4, 3)))
+    z = constant(rng.normal(size=(4, 3)))
     vals = {"w_root": rng.normal(size=(3, 3)), "w_msg": rng.normal(size=(4, 3)),
             "w_agg": np.zeros((3, 3))}
     _, p1 = make_sage(vals)
@@ -74,7 +76,7 @@ def test_sage_path_graph_matches_brute_force():
     vals = {"w_root": rng.normal(size=(2, 2)), "w_msg": rng.normal(size=(3, 2)),
             "w_agg": rng.normal(size=(2, 2))}
     _, params = make_sage(vals)
-    out = gnn.sage_layer(nm.constant(z), make_view(edges, sims), params)
+    out = gnn.sage_layer(constant(z), make_view(edges, sims), params)
     ref = brute_sage(z, edges, sims, vals["w_root"], vals["w_msg"], vals["w_agg"])
     assert np.allclose(out.data, ref, atol=1e-12)
 
@@ -86,7 +88,7 @@ def test_sage_empty_neighborhood_aggregates_zero():
             "w_agg": rng.normal(size=(2, 2))}
     _, params = make_sage(vals)
     view = make_view([[0, 1]], n=3)  # node 2 isolated
-    out = gnn.sage_layer(nm.constant(z), view, params)
+    out = gnn.sage_layer(constant(z), view, params)
     assert np.allclose(out.data[2], np.maximum(z[2] @ vals["w_root"], 0.0))
 
 
@@ -115,7 +117,7 @@ def test_sage_layer_matches_brute_force_property(case, edge_features_on):
     n, edges, sims, z, vals = case
     view = make_view(edges, sims, n=n, edge_features_on=edge_features_on)
     _, params = make_sage(vals)
-    out = gnn.sage_layer(nm.constant(z), view, params)
+    out = gnn.sage_layer(constant(z), view, params)
     ref_sims = sims if edge_features_on else np.zeros(len(edges))
     ref = brute_sage(z, edges, ref_sims, vals["w_root"], vals["w_msg"],
                      vals["w_agg"])
@@ -131,7 +133,7 @@ def test_sage_gradient():
         g = nm.ComputeGraph()
         params = {k: g.add_parameter(k, values[k])
                   for k in ("w_root", "w_msg", "w_agg")}
-        out = gnn.sage_layer(nm.constant(z0), view, params)
+        out = gnn.sage_layer(constant(z0), view, params)
         return sum_all(mul(out, out)), g
 
     values = {"w_root": rng.normal(size=(2, 2)),
@@ -154,7 +156,7 @@ def test_decoder_shapes_and_zero_weights_uniform():
     g = nm.ComputeGraph()
     dec = init_decoder_params(g, 4, 3, 5, np.random.default_rng(0))
     dec["w2"].data[:] = 0.0
-    logits = gnn.decode(nm.constant(np.random.default_rng(1).normal(size=(7, 4))),
+    logits = gnn.decode(constant(np.random.default_rng(1).normal(size=(7, 4))),
                         dec)
     assert logits.shape == (7, 5)
     assert np.allclose(logits.data, 0.0)  # uniform class scores
@@ -274,9 +276,9 @@ def test_full_pipeline_gradient_check():
 
     def build(values):
         cfg, p, _, _, _ = fixture_model(seed=7)
-        p.graph.set_values(values)
+        set_values(p.graph, values)
         logits, *_ = gnn.forward(p, mods, mask, view, cfg)
-        return nm.cross_entropy_sum(logits, labels), p.graph
+        return ob.ce_loss(logits, labels), p.graph
 
     err = grad_check(build, start)
     assert err < 1e-4

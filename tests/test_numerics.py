@@ -9,7 +9,10 @@ from magnetkit import gnn
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
-from oracles import grad_check, kl_target, log, mul, shift, sum_all
+from oracles import (add, concat_last_dim, constant, dropout, einsum,
+                     grad_check, kl_target, log, masked_softmax, matmul, mul,
+                     relu, reshape, scatter_rows, shift, sparse_matmul_const,
+                     sum_all)
 
 
 def build_simple(op):
@@ -22,41 +25,41 @@ def build_simple(op):
 
 
 def test_matmul_identity():
-    a = nm.constant([[1.0, 0.0], [0.0, 1.0]])
-    b = nm.constant([[3.0], [4.0]])
-    assert np.allclose(nm.matmul(a, b).data, [[3.0], [4.0]])
+    a = constant([[1.0, 0.0], [0.0, 1.0]])
+    b = constant([[3.0], [4.0]])
+    assert np.allclose(matmul(a, b).data, [[3.0], [4.0]])
 
 
 def test_matmul_hand():
-    out = nm.matmul(nm.constant([[1.0, 2.0]]), nm.constant([[3.0], [4.0]]))
+    out = matmul(constant([[1.0, 2.0]]), constant([[3.0], [4.0]]))
     assert np.allclose(out.data, [[11.0]])
 
 
 def test_matmul_shape_error():
     with pytest.raises(nm.NumericsError):
-        nm.matmul(nm.constant(np.ones((2, 3))), nm.constant(np.ones((2, 3))))
+        matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
 
 
 def test_matmul_gradient_vs_finite_differences():
     rng = np.random.default_rng(0)
     values = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=(4, 3))}
     err = grad_check(
-        build_simple(lambda t: sum_all(nm.matmul(t["a"], t["b"]))), values)
+        build_simple(lambda t: sum_all(matmul(t["a"], t["b"]))), values)
     assert err < 1e-6
 
 
 def test_masked_softmax_uniform():
-    out = nm.masked_softmax(nm.constant([[0.0, 0.0, 0.0]]), [[1, 1, 1]])
+    out = masked_softmax(constant([[0.0, 0.0, 0.0]]), [[1, 1, 1]])
     assert np.allclose(out.data, [[1 / 3] * 3])
 
 
 def test_masked_softmax_single_available():
-    out = nm.masked_softmax(nm.constant([[5.0, -2.0, 9.0]]), [[0, 1, 0]])
+    out = masked_softmax(constant([[5.0, -2.0, 9.0]]), [[0, 1, 0]])
     assert np.array_equal(out.data, [[0.0, 1.0, 0.0]])
 
 
 def test_masked_softmax_two_entry():
-    out = nm.masked_softmax(nm.constant([[1.0, 2.0, 3.0]]), [[1, 1, 0]])
+    out = masked_softmax(constant([[1.0, 2.0, 3.0]]), [[1, 1, 0]])
     e1, e2 = np.exp(1.0), np.exp(2.0)
     assert np.allclose(out.data, [[e1 / (e1 + e2), e2 / (e1 + e2), 0.0]])
     assert out.data[0, 2] == 0.0
@@ -64,7 +67,7 @@ def test_masked_softmax_two_entry():
 
 def test_masked_softmax_empty_row_rejected():
     with pytest.raises(nm.NumericsError):
-        nm.masked_softmax(nm.constant([[1.0, 2.0]]), [[0, 0]])
+        masked_softmax(constant([[1.0, 2.0]]), [[0, 0]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -77,7 +80,7 @@ def test_masked_softmax_contract(seed):
     mask[np.arange(n), rng.integers(0, m, size=n)] = 1  # no empty row
     g = nm.ComputeGraph()
     t = g.add_parameter("logits", logits)
-    p = nm.masked_softmax(t, mask)
+    p = masked_softmax(t, mask)
     assert np.all(p.data[mask == 0] == 0.0)
     assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
     grads = g.backward(sum_all(mul(p, p)))
@@ -96,26 +99,26 @@ def test_masked_softmax_3d_contract(seed):
     mask[np.arange(n), rng.integers(0, m, size=n)] = 1  # no empty row
     g = nm.ComputeGraph()
     t = g.add_parameter("logits", logits)
-    p = nm.masked_softmax(t, mask)
+    p = masked_softmax(t, mask)
     grads = g.backward(sum_all(mul(p, p)))
     for head in range(k):
         assert np.all(p.data[:, :, head][mask == 0] == 0.0)
         assert np.all(grads["logits"][:, :, head][mask == 0] == 0.0)
         assert np.array_equal(
             p.data[:, :, head],
-            nm.masked_softmax(nm.constant(logits[:, :, head]), mask).data)
+            masked_softmax(constant(logits[:, :, head]), mask).data)
     assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_masked_softmax_3d_mask_shape_rejected():
     with pytest.raises(nm.NumericsError):
-        nm.masked_softmax(nm.constant(np.zeros((2, 3, 2))), np.ones((2, 2)))
+        masked_softmax(constant(np.zeros((2, 3, 2))), np.ones((2, 2)))
 
 
 def test_einsum_forward_and_rejected_specs():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 4))
-    out = nm.einsum("nm,nmd->nd", nm.constant(a), nm.constant(b))
+    out = einsum("nm,nmd->nd", constant(a), constant(b))
     assert np.allclose(out.data, np.einsum("nm,nmd->nd", a, b), atol=1e-14)
     # an index summed inside one operand (i only in a, or a diagonal), no
     # '->', one operand, three operands
@@ -123,14 +126,14 @@ def test_einsum_forward_and_rejected_specs():
                        ("ij,jk", a, b[0]), ("ij->j", a, a),
                        ("ij,jk,kl->il", a, b[0])]:
         with pytest.raises(nm.NumericsError):
-            nm.einsum(spec, nm.constant(x), nm.constant(y))
+            einsum(spec, constant(x), constant(y))
 
 
 def test_relu_and_pairwise():
-    assert nm.relu(nm.constant([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
+    assert relu(constant([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
     # squared distances 25, 0, 25 give kernels 1/26, 1, 1/26 and S = 56/26;
     # with P on the pair (0, 1) both ways, KL = log(1/2) + log 26 + log S
-    z = nm.constant([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+    z = constant([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
     valid = ~np.eye(3, dtype=bool)
     p = np.zeros((3, 3))
     p[0, 1] = p[1, 0] = 0.5
@@ -139,12 +142,12 @@ def test_relu_and_pairwise():
 
 
 def test_concat_and_slice_roundtrip():
-    a = nm.constant(np.arange(6.0).reshape(2, 3))
-    b = nm.constant(np.arange(4.0).reshape(2, 2))
-    c = nm.concat_last_dim([a, b])
+    a = constant(np.arange(6.0).reshape(2, 3))
+    b = constant(np.arange(4.0).reshape(2, 2))
+    c = concat_last_dim([a, b])
     assert c.shape == (2, 5)
     assert np.array_equal(c.data[:, 3:5], b.data)
-    r = nm.reshape(c, (5, 2))
+    r = reshape(c, (5, 2))
     assert np.array_equal(r.data.reshape(2, 5), c.data)
 
 
@@ -161,7 +164,7 @@ def test_backward_quadratic_closed_form():
     x = rng.normal(size=(2, 1))
     g = nm.ComputeGraph()
     w = g.add_parameter("w", w0)
-    y = nm.matmul(w, nm.constant(x))
+    y = matmul(w, constant(x))
     grads = g.backward(sum_all(mul(y, y)))
     assert np.allclose(grads["w"], 2.0 * (w0 @ x) @ x.T, atol=1e-12)
 
@@ -170,7 +173,7 @@ def test_backward_requires_scalar():
     g = nm.ComputeGraph()
     w = g.add_parameter("w", np.ones((2, 2)))
     with pytest.raises(nm.NumericsError):
-        g.backward(nm.relu(w))
+        g.backward(relu(w))
 
 
 def test_unreachable_parameter_gets_zeros():
@@ -189,7 +192,7 @@ def test_backward_deterministic():
         g = nm.ComputeGraph()
         a = g.add_parameter("a", values["a"])
         b = g.add_parameter("b", values["b"])
-        loss = sum_all(nm.relu(nm.matmul(a, b)))
+        loss = sum_all(relu(matmul(a, b)))
         return g.backward(loss)
 
     g1, g2 = run(), run()
@@ -214,8 +217,8 @@ def test_grad_check_masked_softmax_ce():
     def build(values):
         g = nm.ComputeGraph()
         logits = g.add_parameter("logits", values["logits"])
-        p = nm.masked_softmax(logits, mask)
-        return nm.cross_entropy_sum(shift(p, 0.1), labels), g
+        p = masked_softmax(logits, mask)
+        return ob.ce_loss(shift(p, 0.1), labels), g
 
     rng = np.random.default_rng(3)
     err = grad_check(build, {"logits": rng.normal(size=(2, 3))})
@@ -226,7 +229,7 @@ def test_grad_check_constant_function():
     def build(values):
         g = nm.ComputeGraph()
         g.add_parameter("x", values["x"])
-        return sum_all(nm.constant(np.zeros(2))), g
+        return sum_all(constant(np.zeros(2))), g
 
     assert grad_check(build, {"x": np.array([1.0, 2.0])}) == 0.0
 
@@ -236,22 +239,22 @@ def _square(t):
 
 
 @pytest.mark.parametrize("op,shapes", [
-    (lambda t: sum_all(nm.relu(shift(t["x"], 0.05))), {"x": (4, 3)}),
+    (lambda t: sum_all(relu(shift(t["x"], 0.05))), {"x": (4, 3)}),
     (lambda t: sum_all(log(shift(mul(t["x"], t["x"]), 1.0))),
      {"x": (3, 3)}),
     (lambda t: ob.kl_alignment_loss(t["x"], kl_target(4, seed=1)), {"x": (4, 2)}),
-    (lambda t: sum_all(_square(nm.einsum("nmkh,hk->nmk", t["x"], t["w"]))),
+    (lambda t: sum_all(_square(einsum("nmkh,hk->nmk", t["x"], t["w"]))),
      {"x": (3, 2, 2, 3), "w": (3, 2)}),
     (lambda t: ob.kl_alignment_loss(t["x"], kl_target(5, seed=2)), {"x": (5, 3)}),
-    (lambda t: sum_all(_square(nm.einsum("nmk,nmkh->nkh", t["a"], t["x"]))),
+    (lambda t: sum_all(_square(einsum("nmk,nmkh->nkh", t["a"], t["x"]))),
      {"a": (3, 2, 2), "x": (3, 2, 2, 3)}),
-    (lambda t: sum_all(nm.add(t["x"], t["b"])), {"x": (3, 4), "b": (4,)}),
-    (lambda t: nm.cross_entropy_sum(t["x"], np.array([0, 2, 1])), {"x": (3, 3)}),
+    (lambda t: sum_all(add(t["x"], t["b"])), {"x": (3, 4), "b": (4,)}),
+    (lambda t: ob.ce_loss(t["x"], np.array([0, 2, 1])), {"x": (3, 3)}),
     (lambda t: sum_all(nm.select_rows(t["x"], np.array([0, 2, 2]))),
      {"x": (4, 3)}),
-    (lambda t: sum_all(_square(nm.einsum("nm,nmd->nd", t["w"], t["x"]))),
+    (lambda t: sum_all(_square(einsum("nm,nmd->nd", t["w"], t["x"]))),
      {"w": (3, 2), "x": (3, 2, 4)}),
-    (lambda t: sum_all(_square(nm.scatter_rows(t["x"], np.array([3, 0, 4]),
+    (lambda t: sum_all(_square(scatter_rows(t["x"], np.array([3, 0, 4]),
                                                6))),
      {"x": (3, 2)}),
 ])
@@ -271,9 +274,9 @@ def test_composite_gradients_match_finite_differences(seed):
     def build(values):
         g = nm.ComputeGraph()
         w = g.add_parameter("w", values["w"])
-        x = nm.constant(rng_input)
-        h = nm.relu(nm.matmul(x, w))
-        att = nm.masked_softmax(h, mask)
+        x = constant(rng_input)
+        h = relu(matmul(x, w))
+        att = masked_softmax(h, mask)
         return sum_all(mul(att, att)), g
 
     rng_input = rng.normal(size=(3, 3))
@@ -285,10 +288,10 @@ def test_sparse_matmul_and_selectors():
     mat = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, -1.0]]))
     g = nm.ComputeGraph()
     x = g.add_parameter("x", np.arange(6.0).reshape(3, 2))
-    out = nm.sparse_matmul_const(mat, x)
+    out = sparse_matmul_const(mat, x)
     assert np.array_equal(out.data, mat.toarray() @ x.data)
     w = np.array([[1.0, 2.0], [3.0, -1.0]])
-    grads = g.backward(sum_all(mul(out, nm.constant(w))))
+    grads = g.backward(sum_all(mul(out, constant(w))))
     assert np.allclose(grads["x"], mat.toarray().T @ w)
 
     # path 0-1-2 plus isolated node 3: rows average the neighbours, node 3
@@ -300,8 +303,8 @@ def test_sparse_matmul_and_selectors():
     assert np.allclose(view.mean_adj.toarray(),
                        [[0, 1, 0, 0], [0.5, 0, 0.5, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
     assert np.allclose(view.edge_mean[:, 0], [0.2, 0.4, 0.6, 0.0])
-    z = nm.constant(np.arange(8.0).reshape(4, 2))
-    agg = nm.sparse_matmul_const(view.mean_adj, z)
+    z = constant(np.arange(8.0).reshape(4, 2))
+    agg = sparse_matmul_const(view.mean_adj, z)
     assert np.allclose(agg.data, [[2, 3], [2, 3], [2, 3], [0, 0]])
 
 
@@ -316,7 +319,7 @@ def test_select_rows_gradient_matches_dense_scatter_add(idx):
     x = g.add_parameter("x", x0)
     out = nm.select_rows(x, np.array(idx))
     assert np.array_equal(out.data, x0[idx])
-    grads = g.backward(sum_all(mul(out, nm.constant(up))))
+    grads = g.backward(sum_all(mul(out, constant(up))))
     onehot = np.zeros((len(idx), 6))
     onehot[np.arange(len(idx)), idx] = 1.0
     assert np.allclose(grads["x"], onehot.T @ up, rtol=0, atol=1e-15)
@@ -343,10 +346,10 @@ def test_kl_node_peak_memory_below_one_dense_pair_matrix():
 def test_constant_leaves_get_no_gradient():
     g = nm.ComputeGraph()
     w = g.add_parameter("w", np.ones((3, 2)))
-    x = nm.constant(np.arange(12.0).reshape(4, 3))
-    feats = nm.relu(nm.matmul(x, nm.constant(np.eye(3))))
-    edge = nm.constant(np.ones((4, 1)))
-    out = nm.concat_last_dim([nm.matmul(feats, w), edge])
+    x = constant(np.arange(12.0).reshape(4, 3))
+    feats = relu(matmul(x, constant(np.eye(3))))
+    edge = constant(np.ones((4, 1)))
+    out = concat_last_dim([matmul(feats, w), edge])
     assert not feats.requires_grad and out.requires_grad
     grads = g.backward(sum_all(out))
     assert x.grad is None and feats.grad is None and edge.grad is None
@@ -354,12 +357,12 @@ def test_constant_leaves_get_no_gradient():
 
 
 def test_scatter_rows_places_rows_in_zero_block():
-    a = nm.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = nm.scatter_rows(a, [2, 0], 3)
+    a = constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    out = scatter_rows(a, [2, 0], 3)
     assert np.array_equal(out.data, [[3, 4], [0, 0], [1, 2]])
     assert np.array_equal(nm.select_rows(out, [2, 0]).data, a.data)
     with pytest.raises(nm.NumericsError):
-        nm.scatter_rows(a, [0], 3)
+        scatter_rows(a, [0], 3)
 
 
 def test_checked_creation_rejects_nonfinite():
@@ -368,5 +371,5 @@ def test_checked_creation_rejects_nonfinite():
 
 
 def test_dropout_disabled_at_zero_rate():
-    x = nm.constant(np.ones((3, 3)))
-    assert nm.dropout(x, 0.0, np.random.default_rng(0)) is x
+    x = constant(np.ones((3, 3)))
+    assert dropout(x, 0.0, np.random.default_rng(0)) is x

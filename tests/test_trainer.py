@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnetkit import datamodel as dm
+from magnetkit import numerics as nm
 from magnetkit import trainer as tr
 
 
@@ -53,12 +55,13 @@ def test_learning_rate_schedule_exact():
 
 
 def test_adam_minimizes_quadratic():
-    values = {"x": np.array([5.0, -3.0])}
-    state = tr.AdamState.for_params(values)
+    g = nm.ComputeGraph()
+    x = g.add_parameter("x", [5.0, -3.0])
+    state = tr.AdamState.for_params(g.flat)
     for _ in range(800):
-        grads = {"x": 2.0 * values["x"]}
-        tr.adam_step(values, grads, state, lr=0.05)
-    assert np.all(np.abs(values["x"]) < 1e-3)
+        x.grad_out[...] = 2.0 * x.data
+        tr.adam_step(g, state, lr=0.05)
+    assert np.all(np.abs(x.data) < 1e-3)
 
 
 def reference_adam(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
@@ -75,34 +78,63 @@ def reference_adam(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
     return out
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_adam_in_place_bit_equal_to_out_of_place(dtype):
-    rng = np.random.default_rng(0)
-    values = {"w": rng.normal(size=(7, 5)).astype(dtype),
-              "b": rng.normal(size=5).astype(dtype)}
-    arrays = dict(values)
-    ref = {k: a.copy() for k, a in values.items()}
+def check_adam_against_reference(shapes, dtype, steps, seed):
+    """Run the flat chunked Adam and ``reference_adam`` side by side on
+    parameters of the given shapes: values and moments bit for bit, the
+    parameter arrays updated in place."""
+    rng = np.random.default_rng(seed)
+    g = nm.ComputeGraph(dtype)
+    for name, shape in shapes.items():
+        g.add_parameter(name, rng.normal(size=shape))
+    arrays = g.values()
+    ref = {k: a.copy() for k, a in arrays.items()}
     m = {k: np.zeros_like(a) for k, a in ref.items()}
     v = {k: np.zeros_like(a) for k, a in ref.items()}
-    state = tr.AdamState.for_params(values)
-    for t in range(1, 41):
+    state = tr.AdamState.for_params(g.flat)
+    for t in range(1, steps + 1):
         grads = {k: rng.normal(size=a.shape) for k, a in ref.items()}
+        for k, grad in grads.items():
+            g.params[k].grad_out[...] = grad
         lr = 1e-2 * 0.8 ** (t // 10)
-        tr.adam_step(values, grads, state, lr)
+        tr.adam_step(g, state, lr)
         ref = reference_adam(ref, grads, m, v, t, lr)
         for k in ref:
-            assert values[k] is arrays[k]
-            assert values[k].dtype == dtype
-            assert np.array_equal(values[k], ref[k])
-            assert np.array_equal(state.m[k], m[k])
-            assert np.array_equal(state.v[k], v[k])
+            assert g.params[k].data is arrays[k]
+            assert arrays[k].dtype == dtype
+            assert np.array_equal(arrays[k], ref[k])
+        assert np.array_equal(state.m, np.concatenate([m[k].ravel() for k in ref]))
+        assert np.array_equal(state.v, np.concatenate([v[k].ravel() for k in ref]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_in_place_bit_equal_to_out_of_place(dtype):
+    check_adam_against_reference({"w": (7, 5), "b": (5,)}, dtype, steps=40,
+                                 seed=0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.sampled_from([1, 7, tr.ADAM_CHUNK - 1, tr.ADAM_CHUNK,
+                                 tr.ADAM_CHUNK + 1]), min_size=1, max_size=4),
+       st.sampled_from([np.float64, np.float32]), st.integers(0, 2 ** 31 - 1))
+def test_chunked_adam_bit_equal_across_chunk_edges(sizes, dtype, seed):
+    # tensors that end inside, at and just past a chunk, so chunks span
+    # tensor boundaries and the last chunk is partial
+    check_adam_against_reference({f"p{i}": (s,) for i, s in enumerate(sizes)},
+                                 dtype, steps=3, seed=seed)
 
 
 def test_adam_rejects_nonfinite_gradient():
-    values = {"x": np.zeros(2)}
-    state = tr.AdamState.for_params(values)
-    with pytest.raises(tr.DivergenceError):
-        tr.adam_step(values, {"x": np.array([np.nan, 0.0])}, state, lr=0.1)
+    # one check over the flat gradient; the error names the tensor and
+    # nothing is updated
+    for bad in (np.nan, np.inf, -np.inf):
+        g = nm.ComputeGraph()
+        for name, size in (("a", 3), ("b", tr.ADAM_CHUNK + 2), ("c", 4)):
+            g.add_parameter(name, np.ones(size))
+        g.params["b"].grad_out[tr.ADAM_CHUNK + 1] = bad
+        state = tr.AdamState.for_params(g.flat)
+        with pytest.raises(tr.DivergenceError, match="'b'"):
+            tr.adam_step(g, state, lr=0.1)
+        assert np.all(g.flat == 1.0) and state.step == 0
 
 
 def test_label_guard_counts_and_raises():
