@@ -28,8 +28,7 @@ def main():
     if args.ratio > 0:
         ds = dm.apply_scenario(ds, dm.ScenarioSpec(
             kind="random_mask", ratio=args.ratio, seed=args.seed))
-    assignment = dm.split(ds, seed=args.seed)
-    prepped = dm.preprocess(ds, split=assignment)
+    prepped, assignment = dm.split_and_preprocess(ds, args.seed)
     config = tr.RunConfig(seed=args.seed, embed_dim=32, heads=2,
                           encoder_hidden=64, gnn_layers=2, sparsity_rate=0.9,
                           dropout=0.1, learning_rate=3e-3, epochs=args.epochs)

@@ -30,18 +30,20 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     ds = dm.gen_clusters(seed=args.seed)
-    assignment = dm.split(ds, seed=args.seed)
-    prepped = dm.preprocess(ds, split=assignment)
+    prepped, assignment = dm.split_and_preprocess(ds, args.seed)
     config = tr.RunConfig(seed=args.seed, embed_dim=32, heads=2,
                           encoder_hidden=64, gnn_layers=2, sparsity_rate=0.9,
                           dropout=0.1, learning_rate=3e-3, epochs=args.epochs)
 
-    lam_rows = tr.run_lambda_sweep(prepped, config, assignment)
+    # the lambda curve's column is named "lambda", not the field's "lam"
+    lam_rows = [{"lambda": r.pop("lam"), **r} for r in tr.run_validation_sweep(
+        prepped, config, assignment, "lam", (0.0, 0.05, 0.1, 0.25, 0.5, 1.0))]
     write(os.path.join(args.out, "lambda_sweep.csv"), lam_rows)
     for r in lam_rows:
         print(f"lambda={r['lambda']:.2f} macro_f1={r['macro_f1']:.3f}")
 
-    sp_rows = tr.run_sparsity_sweep(prepped, config, assignment)
+    sp_rows = tr.run_validation_sweep(prepped, config, assignment,
+                                      "sparsity_rate", (0.5, 0.6, 0.7, 0.8, 0.9))
     write(os.path.join(args.out, "sparsity_sweep.csv"), sp_rows)
     for r in sp_rows:
         print(f"sparsity={r['sparsity_rate']:.2f} "

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from . import datamodel as dm
 from . import fusion as fu
@@ -109,9 +108,8 @@ def cmd_gen(args):
 def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
-    ds = dm.load_bundle(args.dataset)
-    assignment = dm.split(ds, seed=config.seed)
-    prepped = dm.preprocess(ds, split=assignment, topk=args.topk)
+    prepped, assignment = dm.split_and_preprocess(
+        dm.load_bundle(args.dataset), config.seed, args.topk)
     trained, report = tr.train(prepped, config, assignment)
 
     params_path = os.path.join(args.out, "params.bin")
@@ -129,9 +127,8 @@ def cmd_train(args):
                ["epoch", "ce", "kl", "total", "lr"])
     result = tr.evaluate(trained, prepped, assignment, dm.TEST)
     att_path = os.path.join(args.out, "attention.csv")
-    fu.write_attention_csv(
-        fu.export_attention(result["fusion_state"], prepped.patient_ids,
-                            prepped.modality_names), att_path)
+    fu.write_attention_csv(result["attention"], att_path,
+                           prepped.patient_ids, prepped.modality_names)
     emb_path = os.path.join(args.out, "Z_final.csv")
     emb = result["embeddings"]
     with open(emb_path, "w") as fh:
@@ -189,9 +186,8 @@ def _rebuild_trained(params_path):
 def cmd_eval(args):
     os.makedirs(args.out, exist_ok=True)
     trained, meta = _rebuild_trained(args.params)
-    ds = dm.load_bundle(args.dataset)
-    assignment = dm.split(ds, seed=meta["split_seed"])
-    prepped = dm.preprocess(ds, split=assignment, topk=meta.get("topk"))
+    prepped, assignment = dm.split_and_preprocess(
+        dm.load_bundle(args.dataset), meta["split_seed"], meta.get("topk"))
     result = tr.evaluate(trained, prepped, assignment, args.split)
     metrics_path = os.path.join(args.out, f"metrics_{args.split}.json")
     with open(metrics_path, "w") as fh:
@@ -205,9 +201,8 @@ def cmd_eval(args):
 def cmd_ablate(args):
     os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
-    ds = dm.load_bundle(args.dataset)
-    assignment = dm.split(ds, seed=config.seed)
-    prepped = dm.preprocess(ds, split=assignment)
+    prepped, assignment = dm.split_and_preprocess(
+        dm.load_bundle(args.dataset), config.seed)
     results = tr.run_ablation(prepped, config, assignment)
     rows = []
     for name, res in results.items():
@@ -226,30 +221,25 @@ def cmd_ablate(args):
 
 def _sweep_task(payload):
     (bundle_dir, kind, intact, level, rep, config_dict) = payload
-    base = dm.load_bundle(bundle_dir)
-    config = tr.RunConfig.from_dict(config_dict)
-    rows = tr.run_scenario_sweep(base, kind, [level], 1,
-                                 replace(config, seed=config.seed + 1000 * rep),
-                                 intact_modality=intact)
-    for r in rows:
-        r["repeat"] = rep
-    return rows
+    return tr.run_scenario_point(dm.load_bundle(bundle_dir), kind, level, rep,
+                                 tr.RunConfig.from_dict(config_dict), intact)
 
 
 def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
     levels = [float(x) for x in args.levels.split(",")]
+    if args.repeats < 1:
+        raise tr.ConfigError("--repeats must be positive")
     tasks = [(args.dataset, args.scenario, args.intact_modality, level, rep,
               config.to_dict())
              for level in levels for rep in range(args.repeats)]
     jobs = _jobs(args)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sweep_task, tasks))
+            rows = list(pool.map(_sweep_task, tasks))
     else:
-        chunks = [_sweep_task(t) for t in tasks]
-    rows = [r for chunk in chunks for r in chunk]
+        rows = [_sweep_task(t) for t in tasks]
     cols = sorted({k for r in rows for k in r},
                   key=lambda c: (c not in ("level", "repeat"), c))
     curve_path = os.path.join(args.out, "sweep.csv")
@@ -288,9 +278,8 @@ def cmd_bench(args):
 def cmd_graph_stats(args):
     os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
-    ds = dm.load_bundle(args.dataset)
-    assignment = dm.split(ds, seed=config.seed)
-    prepped = dm.preprocess(ds, split=assignment)
+    prepped, assignment = dm.split_and_preprocess(
+        dm.load_bundle(args.dataset), config.seed)
     sims = pg.pairwise_similarity(prepped)
     g = pg.build_graph(prepped, sims, config.sparsity_rate)
     node_h, edge_h, baseline = pg.homophily(g, prepped.labels)

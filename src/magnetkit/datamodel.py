@@ -490,3 +490,10 @@ def split(ds, seed=0, max_attempts=100):
         if train_classes == set(range(ds.class_count)) & set(ds.labels.tolist()):
             return assignment
     raise DataError("could not produce a split with every class in training")
+
+
+def split_and_preprocess(ds, seed, topk=None):
+    """Split ``ds`` under ``seed`` and preprocess it on that split; returns
+    (preprocessed dataset, split assignment)."""
+    assignment = split(ds, seed=seed)
+    return preprocess(ds, split=assignment, topk=topk), assignment

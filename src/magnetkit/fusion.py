@@ -14,15 +14,6 @@ class FusionError(ValueError):
     pass
 
 
-@dataclass
-class FusionState:
-    """Forward artifacts kept for export: per-head attention and the fused
-    embedding (plain arrays)."""
-
-    attention: list          # K arrays of N x M
-    Z: np.ndarray            # N x d
-
-
 @dataclass(frozen=True)
 class ObservedRows:
     """The encoders' input: for each modality, the patients that have it
@@ -125,7 +116,8 @@ def fuse_multi_head(h, mask, att_params):
 
 def equal_weight_fuse(h, mask):
     """Fusion ablation: plain mean of the available modality embeddings of
-    the N x M x d block ``h``, as one tape node."""
+    the N x M x d block ``h``, as one tape node. Returns (N x M x 1 weights,
+    the mask over each patient's modality count; fused N x d tensor)."""
     _check_mask(mask, h.shape[1])
     w = np.asarray(mask, dtype=h.data.dtype)
     w = w / w.sum(axis=1, keepdims=True)
@@ -133,8 +125,9 @@ def equal_weight_fuse(h, mask):
     def backward(g):
         nm.accumulate(h, w[:, :, None] * g[:, None, :])
 
-    return nm.Tensor(np.einsum("nm,nmd->nd", w, h.data), parents=(h,),
-                     backward=backward, op="equal_weight_fuse")
+    return w[:, :, None], nm.Tensor(np.einsum("nm,nmd->nd", w, h.data),
+                                    parents=(h,), backward=backward,
+                                    op="equal_weight_fuse")
 
 
 def _check_mask(mask, n_modalities):
@@ -145,24 +138,12 @@ def _check_mask(mask, n_modalities):
         raise FusionError("patient with all modalities missing")
 
 
-def export_attention(state, patient_ids=None, modality_names=None):
-    """Flatten attention weights to (patient_id, head, modality, weight) rows.
-
-    Missing modalities are reported with weight 0.
-    """
-    n, m = state.attention[0].shape
-    pids = patient_ids if patient_ids is not None else [f"p{j}" for j in range(n)]
-    mods = modality_names if modality_names is not None else list(range(m))
-    rows = []
-    for k, att in enumerate(state.attention):
-        for j in range(n):
-            for i in range(m):
-                rows.append((pids[j], k, mods[i], float(att[j, i])))
-    return rows
-
-
-def write_attention_csv(rows, path):
+def write_attention_csv(att, path, patient_ids, modality_names):
+    """Write the N x M x K attention array as (patient_id, head, modality,
+    weight) rows, head by head; a missing modality has weight 0."""
     with open(path, "w") as fh:
         fh.write("patient_id,head,modality,weight\n")
-        for pid, head, mod, w in rows:
-            fh.write(f"{pid},{head},{mod},{w:.6f}\n")
+        for k, head in enumerate(np.moveaxis(att, 2, 0).tolist()):
+            for pid, weights in zip(patient_ids, head):
+                for mod, w in zip(modality_names, weights):
+                    fh.write(f"{pid},{k},{mod},{w:.6f}\n")

@@ -193,19 +193,15 @@ def forward(params, modalities, mask, view, config, rng=None, training=False):
     """Full pipeline: encode, fuse, message-pass, decode. ``modalities`` is
     what ``fusion.encode`` takes: the full matrices or their ObservedRows.
 
-    Returns (logits tensor, FusionState, fused embedding tensor, final
-    embedding tensor).
+    Returns (logits tensor, N x M x K attention array (K = 1 for the
+    equal-weight fusion), fused embedding tensor, final embedding tensor).
     """
     drop = config.dropout if training else 0.0
     h = fu.encode(modalities, mask, params.encoders, drop, rng)
-    if params.attention is None:
-        atts, z = [], fu.equal_weight_fuse(h, mask)
-    else:
-        att, z = fu.fuse_multi_head(h, mask, params.attention)
-        atts = list(np.moveaxis(att, 2, 0))
-    state = fu.FusionState(attention=atts, Z=z.data)
+    att, z = (fu.equal_weight_fuse(h, mask) if params.attention is None
+              else fu.fuse_multi_head(h, mask, params.attention))
     z_out = z
     for layer_params in params.sage:
         z_out = sage_layer(z_out, view, layer_params, drop, rng)
     logits = decode(z_out, params.decoder)
-    return logits, state, z, z_out
+    return logits, att, z, z_out

@@ -2,11 +2,12 @@
 
 Each model layer is one tape node with a closed-form backward, built in
 its layer function (`fusion.encode`, `fusion.fuse_multi_head`,
-`gnn.sage_layer`, `gnn.decode`). This module holds the tape, the
-parameter registry, the MLP, masked-softmax and dropout kernels the
-layers share, a row gather and the Student-t KL alignment loss. Every
-parameter is a view into one flat array and its gradient a view into one
-flat gradient array. Double precision by default; float32 is opt-in.
+`gnn.sage_layer`, `gnn.decode`), and each loss term is one node in
+`objective`. This module holds the tape, the parameter registry, the
+MLP, masked-softmax and dropout kernels the layers share, and the
+gradient of the row gather the loss nodes make. Every parameter is a
+view into one flat array and its gradient a view into one flat gradient
+array. Double precision by default; float32 is opt-in.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ DEFAULT_DTYPE = np.float64
 # masked logit underflows to 0 after row-max shifting, small enough to
 # avoid inf arithmetic.
 NEG_MASK = 1e30
-
-# Rows per tile of the Student-t KL node's walk over the upper triangle.
-KL_TILE = 128
 
 
 class NumericsError(ValueError):
@@ -101,13 +99,6 @@ class ComputeGraph:
             view[...] = p.data
             p.data, p.grad_out = view, self.grad[lo:hi].reshape(view.shape)
         return new
-
-    def add_parameter(self, name, data):
-        """Register a trainable leaf holding a copy of ``data`` in the
-        registry's dtype."""
-        p, = self.add_parameters([(name, np.shape(data))])
-        p.data[...] = data
-        return p
 
     def backward(self, loss):
         """Reverse-mode gradients of a scalar loss, written into the views
@@ -225,7 +216,7 @@ def masked_softmax_grad(p, g):
 
 
 # ---------------------------------------------------------------------------
-# objective nodes
+# shared by the objective nodes
 
 
 def rows_grad(like, idx, g):
@@ -241,89 +232,3 @@ def rows_grad(like, idx, g):
     else:
         np.add.at(full, idx, g)
     return full
-
-
-def select_rows(a, idx):
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def backward(g):
-        accumulate(a, rows_grad(a.data, idx, g))
-
-    return Tensor(a.data[idx], parents=(a,), backward=backward, op="select")
-
-
-def student_t_kl(z, p, weights, p_log_p):
-    """KL(P || Q) of a fixed pair distribution P against the Student-t pair
-    distribution Q of the rows of z, as one tape node.
-
-    With d the squared distances between rows and k = 1 / (1 + d), Q is
-    W * k / S on the pairs the constant ``weights`` W marks (1 valid, 0 not)
-    and S = sum(W * k). ``p_log_p`` is the constant sum of p log p, so
-    KL = p_log_p + sum(p log(1 + d)) + log S. P and W must be symmetric
-    (``objective.build_P`` builds them so). The backward is the
-    t-SNE gradient: with the symmetric G = k * (P - W * k / S),
-    dz = 4 (rowsum G * z - G z).
-
-    k is symmetric too, so the node reads only the upper triangle: it walks
-    row tiles I = i0:i0+KL_TILE against the columns i0:, where the square
-    block on the diagonal counts once and the columns to its right twice,
-    and keeps about N^2 / 2 kernel values between forward and backward.
-    """
-    x = z.data
-    if x.ndim != 2:
-        raise NumericsError("pairwise distance expects a matrix")
-    n, dim = x.shape
-    if p.shape != (n, n) or weights.shape != (n, n):
-        raise NumericsError(f"pair matrices {p.shape} and {weights.shape} "
-                            f"do not match {n} rows")
-    sq = (x * x).sum(axis=1)
-    ones = np.ones(n, dtype=x.dtype)
-    # rows [z, 1, 1 + |z|^2] times columns [-2 z, |z|^2, 1] give 1 + d in
-    # one product of two distinct operands (a plain GEMM, not numpy's slower
-    # symmetric path for x @ x.T); the backward multiplies by [z, 1]
-    rows = np.column_stack((x, ones, sq + 1.0))
-    cols = np.vstack((-2.0 * x.T, sq, ones))
-    starts = range(0, n, KL_TILE)
-    tiles = []
-    cross = s = 0.0
-    logs = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
-    for i0 in starts:
-        i1 = min(i0 + KL_TILE, n)
-        k = rows[i0:i1] @ cols[:, i0:]
-        np.maximum(k, 1.0, out=k)
-        cross += _upper_sum(p[i0:i1, i0:],
-                            np.log(k, out=logs[:k.size].reshape(k.shape)))
-        np.reciprocal(k, out=k)
-        s += _upper_sum(weights[i0:i1, i0:], k)
-        tiles.append(k)
-
-    def backward(g):
-        # products with [z, 1] give G z and rowsum G together
-        xa = rows[:, :dim + 1]
-        acc = np.zeros((n, dim + 1), dtype=x.dtype)
-        buf = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
-        for i0, k in zip(starts, tiles):
-            i1 = i0 + k.shape[0]
-            grad = np.multiply(weights[i0:i1, i0:], k,
-                               out=buf[:k.size].reshape(k.shape))
-            grad *= -1.0 / s
-            grad += p[i0:i1, i0:]
-            grad *= k
-            acc[i0:i1] += grad @ xa[i0:]
-            acc[i1:] += grad[:, i1 - i0:].T @ xa[i0:i1]
-        dz = acc[:, dim:] * x
-        dz -= acc[:, :dim]
-        dz *= 4.0 * float(g)
-        accumulate(z, dz)
-
-    value = np.asarray(p_log_p + cross + np.log(s), dtype=x.dtype)
-    return Tensor(value, parents=(z,), backward=backward, op="student_t_kl")
-
-
-def _upper_sum(a, b):
-    """Sum of a * b over a row tile of the upper triangle of two symmetric
-    matrices: the leading square block once, the columns right of it
-    twice. Row sums in the operands' dtype, the rest in float64."""
-    db = a.shape[0]
-    return (2.0 * float(np.vecdot(a, b).sum(dtype=np.float64))
-            - float(np.vecdot(a[:, :db], b[:, :db]).sum(dtype=np.float64)))

@@ -10,6 +10,10 @@ import numpy as np
 from . import numerics as nm
 
 
+# Rows per tile of the Student-t KL node's walk over the upper triangle.
+KL_TILE = 128
+
+
 class ObjectiveError(ValueError):
     pass
 
@@ -82,10 +86,83 @@ def build_P(sims, train_ids, dtype=np.float64):
                            p_log_p=float((pos * np.log(pos)).sum()))
 
 
-def kl_alignment_loss(z_tensor, target):
-    """Differentiable KL(P || Q(z)) with Q built from the Student-t kernel on
-    the current embeddings, normalized over the valid pair set."""
-    return nm.student_t_kl(z_tensor, target.p, target.weights, target.p_log_p)
+def kl_alignment_loss(z, target, rows=None):
+    """KL(P || Q) of the ``target`` pair distribution P against the
+    Student-t pair distribution Q of the rows of ``z`` that the training
+    patients occupy, as one tape node: patient i of P is row ``rows[i]``
+    (all rows if ``rows`` is None), and the other rows get a zero gradient.
+
+    With d the squared distances between rows, k = 1 / (1 + d), W the valid
+    pairs and S = sum(W * k): Q = W * k / S and KL = p_log_p +
+    sum(p log(1 + d)) + log S. The backward is the t-SNE gradient: with the
+    symmetric G = k * (P - W * k / S), dz = 4 (rowsum G * z - G z).
+
+    k is symmetric, as P and W are, so the node reads only the upper
+    triangle: it walks row tiles I = i0:i0+KL_TILE against the columns i0:,
+    where the square block on the diagonal counts once and the columns to
+    its right twice, and keeps about N^2 / 2 kernel values between forward
+    and backward.
+    """
+    p, weights = target.p, target.weights
+    x = z.data if rows is None else z.data[rows]
+    if x.ndim != 2:
+        raise nm.NumericsError("pairwise distance expects a matrix")
+    n, dim = x.shape
+    if p.shape != (n, n) or weights.shape != (n, n):
+        raise nm.NumericsError(f"pair matrices {p.shape} and {weights.shape} "
+                               f"do not match {n} rows")
+    sq = (x * x).sum(axis=1)
+    ones = np.ones(n, dtype=x.dtype)
+    # rows [z, 1, 1 + |z|^2] times columns [-2 z, |z|^2, 1] give 1 + d in
+    # one product of two distinct operands (a plain GEMM, not numpy's slower
+    # symmetric path for x @ x.T); the backward multiplies by [z, 1]
+    ext = np.column_stack((x, ones, sq + 1.0))
+    cols = np.vstack((-2.0 * x.T, sq, ones))
+    starts = range(0, n, KL_TILE)
+    tiles = []
+    cross = s = 0.0
+    logs = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
+    for i0 in starts:
+        i1 = min(i0 + KL_TILE, n)
+        k = ext[i0:i1] @ cols[:, i0:]
+        np.maximum(k, 1.0, out=k)
+        cross += _upper_sum(p[i0:i1, i0:],
+                            np.log(k, out=logs[:k.size].reshape(k.shape)))
+        np.reciprocal(k, out=k)
+        s += _upper_sum(weights[i0:i1, i0:], k)
+        tiles.append(k)
+
+    def backward(g):
+        # products with [z, 1] give G z and rowsum G together
+        xa = ext[:, :dim + 1]
+        acc = np.zeros((n, dim + 1), dtype=x.dtype)
+        buf = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
+        for i0, k in zip(starts, tiles):
+            i1 = i0 + k.shape[0]
+            grad = np.multiply(weights[i0:i1, i0:], k,
+                               out=buf[:k.size].reshape(k.shape))
+            grad *= -1.0 / s
+            grad += p[i0:i1, i0:]
+            grad *= k
+            acc[i0:i1] += grad @ xa[i0:]
+            acc[i1:] += grad[:, i1 - i0:].T @ xa[i0:i1]
+        dz = acc[:, dim:] * x
+        dz -= acc[:, :dim]
+        dz *= 4.0 * float(g)
+        nm.accumulate(z, dz if rows is None
+                      else nm.rows_grad(z.data, rows, dz))
+
+    value = np.asarray(target.p_log_p + cross + np.log(s), dtype=x.dtype)
+    return nm.Tensor(value, parents=(z,), backward=backward, op="kl")
+
+
+def _upper_sum(a, b):
+    """Sum of a * b over a row tile of the upper triangle of two symmetric
+    matrices: the leading square block once, the columns right of it
+    twice. Row sums in the operands' dtype, the rest in float64."""
+    db = a.shape[0]
+    return (2.0 * float(np.vecdot(a, b).sum(dtype=np.float64))
+            - float(np.vecdot(a[:, :db], b[:, :db]).sum(dtype=np.float64)))
 
 
 def total_loss(ce, kl, lam):

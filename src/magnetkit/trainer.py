@@ -1,5 +1,6 @@
 """End-to-end training loop, Adam with step decay, inductive evaluation
-protocol, and the ablation / sweep / benchmark harnesses."""
+protocol, and the ablation / sweep / benchmark harnesses, which all train
+and score one split through the same step."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from . import evalkit
 from . import fusion as fu
 from . import gnn
 from . import graph as pg
-from . import numerics as nm
 from . import objective as obj
 
 
@@ -244,7 +244,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
         logits, _, z_fused, _ = gnn.forward(params, inputs, ds.mask, view,
                                             config, rng=rng, training=True)
         ce = obj.ce_loss(logits, y_train, train_idx)
-        kl = (obj.kl_alignment_loss(nm.select_rows(z_fused, train_idx), target)
+        kl = (obj.kl_alignment_loss(z_fused, target, train_idx)
               if config.lam > 0 else None)
         total = obj.total_loss(ce, kl, config.lam)
         kl_val = 0.0 if kl is None else float(kl.data)
@@ -262,7 +262,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
                            feature_dims=[x.shape[1] for x in ds.modalities],
                            n_classes=ds.class_count, report=report)
     report.final_train_metrics = evaluate(trained, ds, split_assignment,
-                                          dm.TRAIN)["metrics"]
+                                          dm.TRAIN, train_side)["metrics"]
     return trained, report
 
 
@@ -286,7 +286,7 @@ def evaluate(trained, ds, split_assignment, split_name,
     g = pg.build_graph(ds, sims, config.sparsity_rate)
     view = gnn.GraphView.from_graph(g, edge_features_on=not config.no_edge_feature,
                                     dtype=config.dtype)
-    logits, state, _, z_final = gnn.forward(trained.params, ds.modalities,
+    logits, att, _, z_final = gnn.forward(trained.params, ds.modalities,
                                             ds.mask, view, config,
                                             training=False)
     lg = logits.data[idx]
@@ -297,7 +297,7 @@ def evaluate(trained, ds, split_assignment, split_name,
     y = ds.labels[idx]
     metrics = evalkit.full_bundle(y, preds, probs, z_final.data[idx],
                                   ds.class_count)
-    return {"metrics": metrics, "fusion_state": state,
+    return {"metrics": metrics, "attention": att,
             "embeddings": z_final.data, "logits": logits.data,
             "graph": g, "indices": idx}
 
@@ -315,14 +315,27 @@ ABLATIONS = {
 }
 
 
+def _fit_and_score(ds, config, split_assignment, split_name,
+                   train_side=(dm.TRAIN, dm.VAL)):
+    """Train on ``train_side`` and score ``split_name``; returns the model,
+    its report and the split's metrics."""
+    trained, report = train(ds, config, split_assignment, train_side)
+    return trained, report, evaluate(trained, ds, split_assignment,
+                                     split_name, train_side)["metrics"]
+
+
+def _row(head, metrics):
+    """A sweep row: the point's ``head`` columns, then its defined metrics."""
+    return {**head, **{k: v for k, v in metrics.items() if v is not None}}
+
+
 def run_ablation(ds, config, split_assignment):
     """Train the full model and the four component-removal variants under the
     same seed and split; returns per-variant metrics and loss logs."""
     results = {}
     for name, overrides in ABLATIONS.items():
-        cfg = replace(config, **overrides)
-        trained, report = train(ds, cfg, split_assignment)
-        test = evaluate(trained, ds, split_assignment, dm.TEST)["metrics"]
+        trained, report, test = _fit_and_score(
+            ds, replace(config, **overrides), split_assignment, dm.TEST)
         results[name] = {
             "test_metrics": test,
             "final_loss": report.loss_log[-1][3] if report.loss_log else None,
@@ -332,31 +345,27 @@ def run_ablation(ds, config, split_assignment):
     return results
 
 
-def _prepare(ds, seed):
-    assignment = dm.split(ds, seed=seed)
-    return dm.preprocess(ds, split=assignment), assignment
+def run_scenario_point(base_ds, kind, level, rep, config, intact_modality=0):
+    """One missingness-curve row (level, repeat, test metric columns): the
+    seed ``config.seed + 1000 * rep`` masks the data, splits it and seeds
+    the training run."""
+    seed = int(config.seed + 1000 * rep)
+    spec = dm.ScenarioSpec(kind=kind if level > 0 else "none",
+                           intact_modality=intact_modality,
+                           ratio=float(level), seed=seed)
+    prepped, assignment = dm.split_and_preprocess(
+        dm.apply_scenario(base_ds, spec), seed)
+    *_, m = _fit_and_score(prepped, replace(config, seed=seed), assignment,
+                           dm.TEST)
+    return _row({"level": float(level), "repeat": rep}, m)
 
 
 def run_scenario_sweep(base_ds, kind, levels, repeats, config,
                        intact_modality=0):
-    """Missingness curve: per level and repeat, mask, split, train, and score
-    the test set. Returns row dicts (level, repeat, metric columns)."""
-    rows = []
-    for level in levels:
-        for rep in range(repeats):
-            seed = int(config.seed + 1000 * rep)
-            spec = dm.ScenarioSpec(kind=kind if level > 0 else "none",
-                                   intact_modality=intact_modality,
-                                   ratio=float(level), seed=seed)
-            masked = dm.apply_scenario(base_ds, spec)
-            prepped, assignment = _prepare(masked, seed)
-            cfg = replace(config, seed=seed)
-            trained, _ = train(prepped, cfg, assignment)
-            m = evaluate(trained, prepped, assignment, dm.TEST)["metrics"]
-            row = {"level": float(level), "repeat": rep}
-            row.update({k: v for k, v in m.items() if v is not None})
-            rows.append(row)
-    return rows
+    """Missingness curve: ``run_scenario_point`` per level and repeat."""
+    return [run_scenario_point(base_ds, kind, level, rep, config,
+                               intact_modality)
+            for level in levels for rep in range(repeats)]
 
 
 def summarize_sweep(rows):
@@ -382,6 +391,8 @@ def run_scalability_bench(config, m_values=range(2, 11), mask_p=0.5, repeats=5,
     charged to it. Rows come back in (modality count, repeat) order.
     """
     m_values = list(m_values)
+    if repeats < 1 or len(set(m_values)) < 2:
+        raise ConfigError("a fit needs repeats and two modality counts")
     timed = {}
     for rep in range(repeats):
         for i, m in enumerate(m_values):
@@ -390,8 +401,8 @@ def run_scalability_bench(config, m_values=range(2, 11), mask_p=0.5, repeats=5,
                                     features_per_modality=features_per_modality,
                                     seed=seed)
             spec = dm.ScenarioSpec(kind="random_mask", ratio=mask_p, seed=seed)
-            masked = dm.apply_scenario(ds, spec)
-            prepped, assignment = _prepare(masked, seed)
+            prepped, assignment = dm.split_and_preprocess(
+                dm.apply_scenario(ds, spec), seed)
             cfg = replace(config, seed=seed)
             if not timed:
                 train(prepped, replace(cfg, epochs=min(cfg.epochs, 2)), assignment)
@@ -414,32 +425,13 @@ def linear_fit(x, y):
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def run_lambda_sweep(ds, config, split_assignment, lam_values=(0.0, 0.05, 0.1,
-                                                               0.25, 0.5, 1.0)):
-    """Validation metrics per lambda, trained on the training set only so the
-    validation set stays held out."""
+def run_validation_sweep(ds, config, split_assignment, field, values):
+    """Rows (``field``, validation metric columns) per value of a RunConfig
+    field, trained on the training set only so the validation set stays
+    held out; a ``sparsity_rate`` point rebuilds the graph."""
     rows = []
-    for lam in lam_values:
-        cfg = replace(config, lam=float(lam))
-        trained, _ = train(ds, cfg, split_assignment, train_side=(dm.TRAIN,))
-        m = evaluate(trained, ds, split_assignment, dm.VAL,
-                     train_side=(dm.TRAIN,))["metrics"]
-        row = {"lambda": float(lam)}
-        row.update({k: v for k, v in m.items() if v is not None})
-        rows.append(row)
-    return rows
-
-
-def run_sparsity_sweep(ds, config, split_assignment,
-                       rates=(0.5, 0.6, 0.7, 0.8, 0.9)):
-    """Validation metrics per graph sparsity rate (graph rebuilt per point)."""
-    rows = []
-    for rate in rates:
-        cfg = replace(config, sparsity_rate=float(rate))
-        trained, _ = train(ds, cfg, split_assignment, train_side=(dm.TRAIN,))
-        m = evaluate(trained, ds, split_assignment, dm.VAL,
-                     train_side=(dm.TRAIN,))["metrics"]
-        row = {"sparsity_rate": float(rate)}
-        row.update({k: v for k, v in m.items() if v is not None})
-        rows.append(row)
+    for value in values:
+        *_, m = _fit_and_score(ds, replace(config, **{field: float(value)}),
+                               split_assignment, dm.VAL, (dm.TRAIN,))
+        rows.append(_row({field: float(value)}, m))
     return rows

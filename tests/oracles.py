@@ -66,8 +66,9 @@ def _symmetric_part(a, dtype):
 
 
 def student_t_kl(z, p, weights, p_log_p):
-    """Reference for `numerics.student_t_kl` that takes P and W as they come,
-    symmetric or not: the same KL node with the general t-SNE gradient
+    """Reference for `objective.kl_alignment_loss` that takes P and W as
+    they come, symmetric or not: the same KL node with the general t-SNE
+    gradient
     dz = 2 ((rowsum G + colsum G) z - G z - G^T z), G = k * (P - W * k / S).
     """
     x = z.data
@@ -88,8 +89,8 @@ def student_t_kl(z, p, weights, p_log_p):
 
 
 # ---------------------------------------------------------------------------
-# generic tape ops: the pieces the fused layer nodes were built from, kept
-# as their oracles, plus ops that only test losses use
+# generic tape ops: the pieces the fused layer and loss nodes were built
+# from, kept as their oracles, plus ops that only test losses use
 
 
 def constant(data):
@@ -195,6 +196,17 @@ def einsum(spec, a, b):
 
     return nm.Tensor(np.einsum(spec, a.data, b.data), parents=(a, b),
                      backward=backward, op="einsum")
+
+
+def select_rows(a, idx):
+    """The rows ``idx`` of ``a``; repeated rows sum their gradients."""
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def backward(g):
+        nm.accumulate(a, nm.rows_grad(a.data, idx, g))
+
+    return nm.Tensor(a.data[idx], parents=(a,), backward=backward,
+                     op="select")
 
 
 def scatter_rows(a, idx, n_rows):
@@ -371,6 +383,14 @@ def chain_forward(params, modalities, mask, view, config, rng=None,
     return chain_decode(z_out, params.decoder), z
 
 
+def add_parameter(graph, name, data):
+    """Register a trainable leaf in ``graph`` holding a copy of ``data`` in
+    the registry's dtype."""
+    p, = graph.add_parameters([(name, np.shape(data))])
+    p.data[...] = data
+    return p
+
+
 def set_values(graph, values):
     """Write ``values`` by name into a registry's parameter arrays in place,
     so they stay views of its flat buffer."""
@@ -387,12 +407,12 @@ def init_encoder_params(graph, feature_dims, hidden_dim, embed_dim, rng):
     """Two-layer ReLU MLP per modality as (w1, b1, w2, b2) tuples."""
     params = []
     for i, d_in in enumerate(feature_dims):
-        w1 = graph.add_parameter(f"enc{i}.w1",
-                                 gnn._he_uniform(rng, (d_in, hidden_dim)))
-        b1 = graph.add_parameter(f"enc{i}.b1", np.zeros(hidden_dim))
-        w2 = graph.add_parameter(f"enc{i}.w2",
-                                 gnn._he_uniform(rng, (hidden_dim, embed_dim)))
-        b2 = graph.add_parameter(f"enc{i}.b2", np.zeros(embed_dim))
+        w1 = add_parameter(graph, f"enc{i}.w1",
+                           gnn._he_uniform(rng, (d_in, hidden_dim)))
+        b1 = add_parameter(graph, f"enc{i}.b1", np.zeros(hidden_dim))
+        w2 = add_parameter(graph, f"enc{i}.w2",
+                           gnn._he_uniform(rng, (hidden_dim, embed_dim)))
+        b2 = add_parameter(graph, f"enc{i}.b2", np.zeros(embed_dim))
         params.append((w1, b1, w2, b2))
     return params
 
@@ -401,23 +421,24 @@ def init_attention_params(graph, embed_dim, heads, rng):
     """W_lin, zero per-head attention vectors and a near-identity W_out, in
     the dict `fusion.fuse_multi_head` reads."""
     d_h = embed_dim // heads
-    w_lin = graph.add_parameter("att.w_lin",
-                                gnn._he_uniform(rng, (embed_dim, embed_dim)))
-    w_att = [graph.add_parameter(f"att.w_att{k}", np.zeros((d_h, 1)))
+    w_lin = add_parameter(graph, "att.w_lin",
+                          gnn._he_uniform(rng, (embed_dim, embed_dim)))
+    w_att = [add_parameter(graph, f"att.w_att{k}", np.zeros((d_h, 1)))
              for k in range(heads)]
-    w_out = graph.add_parameter(
-        "att.w_out", gnn._near_identity(rng, (embed_dim, embed_dim)))
+    w_out = add_parameter(graph, "att.w_out",
+                          gnn._near_identity(rng, (embed_dim, embed_dim)))
     return {"w_lin": w_lin, "w_att": w_att, "w_out": w_out,
             "heads": heads, "d_h": d_h}
 
 
 def init_decoder_params(graph, d_in, hidden, n_classes, rng):
     return {
-        "w1": graph.add_parameter("dec.w1", gnn._he_uniform(rng, (d_in, hidden))),
-        "b1": graph.add_parameter("dec.b1", np.zeros(hidden)),
-        "w2": graph.add_parameter("dec.w2",
-                                  gnn._he_uniform(rng, (hidden, n_classes))),
-        "b2": graph.add_parameter("dec.b2", np.zeros(n_classes)),
+        "w1": add_parameter(graph, "dec.w1",
+                            gnn._he_uniform(rng, (d_in, hidden))),
+        "b1": add_parameter(graph, "dec.b1", np.zeros(hidden)),
+        "w2": add_parameter(graph, "dec.w2",
+                            gnn._he_uniform(rng, (hidden, n_classes))),
+        "b2": add_parameter(graph, "dec.b2", np.zeros(n_classes)),
     }
 
 

@@ -17,10 +17,10 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit import trainer as tr
-from oracles import (add, alignment_target, build_Q, concat_last_dim,
-                     constant, einsum, grad_check, kl_loss, kl_target, log,
-                     masked_softmax, matmul, mul, relu, scatter_rows,
-                     set_values, shift, sum_all)
+from oracles import (add, add_parameter, alignment_target, build_Q,
+                     concat_last_dim, constant, einsum, grad_check, kl_loss,
+                     kl_target, log, masked_softmax, matmul, mul, relu,
+                     scatter_rows, select_rows, set_values, shift, sum_all)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,8 @@ def test_criterion_01_gradient_correctness():
         cfg, p, _, _, _ = pipeline_fixture(seed=7)
         set_values(p.graph, values)
         logits, _, z_fused, _ = gnn.forward(p, mods, mask, view, cfg)
-        ce = ob.ce_loss(nm.select_rows(logits, train_idx), labels)
-        kl = ob.kl_alignment_loss(nm.select_rows(z_fused, train_idx),
+        ce = ob.ce_loss(select_rows(logits, train_idx), labels)
+        kl = ob.kl_alignment_loss(select_rows(z_fused, train_idx),
                                   alignment_target(p_mat, valid))
         return ob.total_loss(ce, kl, 0.1), p.graph
 
@@ -115,7 +115,7 @@ def test_criterion_01_gradient_correctness():
 
         def build(vals):
             g = nm.ComputeGraph()
-            ts = {k: g.add_parameter(k, v) for k, v in vals.items()}
+            ts = {k: add_parameter(g, k, v) for k, v in vals.items()}
             return op(ts), g
 
         return grad_check(build, values)
@@ -150,7 +150,7 @@ def test_criterion_01_gradient_correctness():
          {"a": (3, 4), "b": (4,)}),
         (lambda t: ob.ce_loss(t["a"], np.array([0, 2, 1])),
          {"a": (3, 3)}),
-        (lambda t: sum_all(nm.select_rows(t["a"], np.array([0, 2, 2]))),
+        (lambda t: sum_all(select_rows(t["a"], np.array([0, 2, 2]))),
          {"a": (4, 3)}),
         (lambda t: sum_all(concat_last_dim([t["a"], t["b"]])),
          {"a": (3, 2), "b": (3, 3)}),
@@ -168,7 +168,7 @@ def test_criterion_01_gradient_correctness():
                                "w_out": t["e"], "heads": 2, "d_h": 2})[1])),
          {"a": (3, 2, 4), "b": (4, 4), "c": (2, 1), "d": (2, 1),
           "e": (4, 4)}),
-        (lambda t: sum_all(sq(fu.equal_weight_fuse(t["a"], mask_att))),
+        (lambda t: sum_all(sq(fu.equal_weight_fuse(t["a"], mask_att)[1])),
          {"a": (3, 2, 4)}),
         (lambda t: sum_all(sq(gnn.sage_layer(
             t["a"], view_sage, {"w_root": t["b"], "w_msg": t["c"],
@@ -200,7 +200,7 @@ def test_criterion_02_masked_attention_contract():
         mask = rng.integers(0, 2, size=(n, m))
         mask[np.arange(n), rng.integers(0, m, size=n)] = 1
         g = nm.ComputeGraph()
-        t = g.add_parameter("logits", logits)
+        t = add_parameter(g, "logits", logits)
         p = masked_softmax(t, mask)
         assert np.all(p.data[mask == 0] == 0.0)
         assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-6)
@@ -227,8 +227,8 @@ def test_criterion_03_missingness_independence():
         def quantities(mod_arrays):
             cfg, p, _, _, _ = pipeline_fixture(seed=trial)
             logits, _, z_fused, _ = gnn.forward(p, mod_arrays, mask, view, cfg)
-            ce = ob.ce_loss(nm.select_rows(logits, train_idx), labels)
-            kl = ob.kl_alignment_loss(nm.select_rows(z_fused, train_idx),
+            ce = ob.ce_loss(select_rows(logits, train_idx), labels)
+            kl = ob.kl_alignment_loss(select_rows(z_fused, train_idx),
                                       target)
             return logits.data, float(ce.data), float(kl.data)
 

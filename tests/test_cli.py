@@ -552,6 +552,31 @@ def test_sweep_parallel_matches_serial(tmp_path, bundle, config_file):
     assert (serial / "sweep.csv").read_text() == (par / "sweep.csv").read_text()
 
 
+def test_sweep_rows_match_scenario_sweep(tmp_path, bundle, config_file):
+    # the command runs each point apart, under the library's seed rule
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--dataset", bundle, "--config", config_file,
+                "--seed", 7, "--scenario", "random_mask", "--levels", "0,0.4",
+                "--repeats", 2, "--out", out]) == cli.EXIT_OK
+    with open(out / "sweep.csv", newline="") as fh:
+        got = [{k: v for k, v in r.items() if v != ""}
+               for r in csv.DictReader(fh)]
+    config = tr.RunConfig(seed=7, **FAST_CONFIG)
+    want = tr.run_scenario_sweep(dm.load_bundle(bundle), "random_mask",
+                                 [0.0, 0.4], 2, config)
+    assert got == [{k: str(v) for k, v in r.items()} for r in want]
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_sweep_without_repeats_is_config_error(tmp_path, bundle, config_file,
+                                               capsys, repeats):
+    code = run(["sweep", "--dataset", bundle, "--config", config_file,
+                "--scenario", "random_mask", "--levels", "0.2",
+                "--repeats", repeats, "--out", tmp_path / "s"])
+    assert code == cli.EXIT_CONFIG
+    assert "repeats" in capsys.readouterr().err
+
+
 def test_thread_env_caps_jobs(monkeypatch):
     monkeypatch.setenv("MAGNET_KIT_THREADS", "1")
 
@@ -578,6 +603,18 @@ def test_bench_writes_fit(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("counts", [["--repeats", 0], ["--repeats", -2],
+                                    ["--modalities", "3"],
+                                    ["--modalities", "3,3"]])
+def test_bench_without_a_fit_is_config_error(tmp_path, capsys, counts):
+    # no repeat, or one distinct modality count, leaves no line to fit
+    code = run(["bench", "--modalities", "2,3", "--repeats", 1,
+                "--features", 20, *counts, "--out", tmp_path / "b"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_graph_stats(tmp_path, bundle, config_file):
     out = tmp_path / "gstats"
     code = run(["graph-stats", "--dataset", bundle, "--config", config_file,
@@ -601,6 +638,27 @@ def test_ablate_table(tmp_path, bundle, config_file):
     lines = (out / "ablation.csv").read_text().strip().split("\n")
     assert len(lines) == 6  # header + full + A1..A4
     assert lines[0].startswith("variant,")
+
+
+def test_train_without_attention_fusion_writes_attention(tmp_path, bundle):
+    # A1 fuses with fixed equal weights: one head, each patient's row
+    # summing to 1 over its modalities
+    cfg = tmp_path / "a1.json"
+    cfg.write_text(json.dumps({"seed": 0, **FAST_CONFIG, "no_pmmha": True}))
+    out = tmp_path / "a1"
+    code = run(["train", "--dataset", bundle, "--config", cfg, "--out", out])
+    assert code == cli.EXIT_OK
+    assert "attention.csv" in json.loads(
+        (out / "manifest.json").read_text())["artifacts"]
+    with open(out / "attention.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    sums = {}
+    for r in rows:
+        key = (r["patient_id"], r["head"])
+        sums[key] = sums.get(key, 0.0) + float(r["weight"])
+    assert {head for _, head in sums} == {"0"}
+    assert len(sums) == 60 and len(rows) == 60 * 3
+    assert all(abs(v - 1.0) < 1e-5 for v in sums.values())
 
 
 def test_gen_does_not_mutate_inputs(tmp_path, bundle, config_file):

@@ -1,4 +1,4 @@
-"""Each fused layer node against its chain-of-ops oracle in
+"""Each fused layer and loss node against its chain-of-ops oracle in
 `tests/oracles.py`: values and gradients, in float64 and float32."""
 
 import numpy as np
@@ -10,9 +10,10 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit.trainer import RunConfig
-from oracles import (chain_decode, chain_encode, chain_equal_weight_fuse,
-                     chain_forward, chain_fuse_multi_head, chain_sage_layer,
-                     constant, mul, sum_all)
+from oracles import (add_parameter, alignment_target, chain_decode,
+                     chain_encode, chain_equal_weight_fuse, chain_forward,
+                     chain_fuse_multi_head, chain_sage_layer, constant, mul,
+                     select_rows, sum_all)
 
 DTYPES = st.sampled_from([np.float64, np.float32])
 SEEDS = st.integers(0, 2 ** 31 - 1)
@@ -24,7 +25,7 @@ def run(build, values, dtype, seed):
     """``build``'s output for parameters holding ``values`` in ``dtype``,
     and the gradients of a random linear function of it."""
     g = nm.ComputeGraph(dtype)
-    tensors = {k: g.add_parameter(k, v) for k, v in values.items()}
+    tensors = {k: add_parameter(g, k, v) for k, v in values.items()}
     out = build(tensors)
     weights = np.random.default_rng(seed).normal(size=out.shape).astype(dtype)
     grads = g.backward(sum_all(mul(out, constant(weights))))
@@ -127,7 +128,7 @@ def test_attention_node_matches_chain_with_exact_zeros(n, m, heads, dtype,
 def test_equal_weight_node_matches_chain(n, m, dtype, seed):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, n, m)
-    _, grads = check(lambda t: fu.equal_weight_fuse(t["h"], mask),
+    _, grads = check(lambda t: fu.equal_weight_fuse(t["h"], mask)[1],
                      lambda t: chain_equal_weight_fuse(t["h"], mask),
                      {"h": rng.normal(size=(n, m, 3))}, dtype, seed)
     assert np.all(grads["h"][mask == 0] == 0.0)
@@ -175,12 +176,44 @@ def test_decoder_and_row_ce_match_chain(n, classes, repeated, dtype, seed):
         return lambda t: ce(decode(t["z"], t), labels, rows)
 
     def chain_ce(logits, labels, rows):
-        return ob.ce_loss(nm.select_rows(logits, rows), labels)
+        return ob.ce_loss(select_rows(logits, rows), labels)
 
     check(build(gnn.decode, ob.ce_loss), build(chain_decode, chain_ce),
           values, dtype, seed)
     check(lambda t: gnn.decode(t["z"], t), lambda t: chain_decode(t["z"], t),
           values, dtype, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, ob.KL_TILE - 1, ob.KL_TILE, ob.KL_TILE + 1,
+                        2 * ob.KL_TILE + 3]),
+       st.sampled_from(["split", "shuffled", "repeated"]), DTYPES, SEEDS)
+def test_row_kl_matches_select_rows_then_node(n, order, dtype, seed):
+    # the KL node's own row gather against the gather op before the node,
+    # bit for bit, at sizes below, at and past the row tile. A training
+    # split's rows increase; shuffled and repeated rows take the
+    # scatter-add path of the gradient.
+    rng = np.random.default_rng(seed)
+    n_rows = n + 5
+    if order == "repeated":
+        rows = rng.integers(0, n_rows, size=n)
+    else:
+        rows = np.sort(rng.choice(n_rows, size=n, replace=False))
+        if order == "shuffled":
+            rng.shuffle(rows)
+    valid = rng.random((n, n)) < 0.7
+    valid[0, 1] = True
+    p_raw = np.where(valid, rng.uniform(size=(n, n)), 0.0)
+    target = alignment_target(p_raw / p_raw.sum(), valid, dtype)
+    values = {"z": rng.normal(scale=2.0, size=(n_rows, 4))}
+    out, grads = run(lambda t: ob.kl_alignment_loss(t["z"], target, rows),
+                     values, dtype, seed)
+    ref, ref_grads = run(
+        lambda t: ob.kl_alignment_loss(select_rows(t["z"], rows), target),
+        values, dtype, seed)
+    assert out.dtype == grads["z"].dtype == dtype
+    assert np.array_equal(out, ref)
+    assert np.array_equal(grads["z"], ref_grads["z"])
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,8 +7,8 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit.trainer import RunConfig
-from oracles import (constant, grad_check, init_decoder_params, mul,
-                     set_values, sum_all)
+from oracles import (add_parameter, constant, grad_check,
+                     init_decoder_params, mul, set_values, sum_all)
 
 
 def make_view(edges, sims=None, n=None, **kw):
@@ -24,7 +24,7 @@ def make_view(edges, sims=None, n=None, **kw):
 
 def make_sage(values):
     g = nm.ComputeGraph()
-    return g, {k: g.add_parameter(k, np.asarray(values[k], dtype=float))
+    return g, {k: add_parameter(g, k, np.asarray(values[k], dtype=float))
                for k in ("w_root", "w_msg", "w_agg")}
 
 
@@ -131,7 +131,7 @@ def test_sage_gradient():
 
     def build(values):
         g = nm.ComputeGraph()
-        params = {k: g.add_parameter(k, values[k])
+        params = {k: add_parameter(g, k, values[k])
                   for k in ("w_root", "w_msg", "w_agg")}
         out = gnn.sage_layer(constant(z0), view, params)
         return sum_all(mul(out, out)), g
@@ -181,9 +181,10 @@ def fixture_model(n=6, m=2, d=4, heads=2, layers=2, seed=0, **kw):
 
 def test_forward_shapes():
     config, params, mods, mask, view = fixture_model()
-    logits, state, z, z_final = gnn.forward(params, mods, mask, view, config)
+    logits, att, z, z_final = gnn.forward(params, mods, mask, view, config)
     assert logits.shape == (6, 3)
-    assert state.Z.shape == (6, 4)
+    assert att.shape == (6, 2, 2)
+    assert z.shape == (6, 4)
     assert z_final.shape == (6, 4)
 
 
@@ -256,8 +257,9 @@ def test_forward_locality_two_layers():
 def test_no_pmmha_uses_equal_weight_fusion():
     config, params, mods, mask, view = fixture_model(no_pmmha=True)
     assert params.attention is None
-    logits, state, *_ = gnn.forward(params, mods, mask, view, config)
-    assert state.attention == []
+    logits, att, *_ = gnn.forward(params, mods, mask, view, config)
+    # one head of fixed weights: the mask over each patient's modality count
+    assert np.array_equal(att[:, :, 0], mask / mask.sum(axis=1, keepdims=True))
     assert logits.shape == (6, 3)
 
 

@@ -1,6 +1,7 @@
-"""Layout check: every module-level function of the package is used by the
-package itself, the scripts or the benchmark harness. Code that only the
-tests call belongs in `tests/`."""
+"""Layout check: every module-level function of the package, and every
+public method or property of its classes, is used by the package itself,
+the scripts or the benchmark harness. Code that only the tests call belongs
+in `tests/`."""
 
 import ast
 import pathlib
@@ -44,11 +45,16 @@ def imported_names(tree, own):
     return found
 
 
+def user_trees():
+    """(path, syntax tree) of every Python file in the user directories."""
+    for path in (p for d in USERS for p in d.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def references():
     """Every (module, function) pair referenced from the user directories."""
     refs = set()
-    for path in (p for d in USERS for p in d.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in user_trees():
         own = path.stem if path.parent == PACKAGE else None
         aliases = module_aliases(tree, own)
         refs |= imported_names(tree, own)
@@ -70,9 +76,30 @@ def module_functions():
                 yield path.stem, node.name
 
 
+def public_methods():
+    """(module, class, name) of every public method and property defined in
+    a package class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    yield path.stem, cls.name, node.name
+
+
 def test_every_module_function_has_a_caller_outside_tests():
     refs = references()
     unused = [f"{module}.{name}" for module, name in module_functions()
               if (module, name) not in refs]
     assert not unused, f"used by tests only (move to tests/): {unused}"
 
+
+def test_every_public_method_has_a_caller_outside_tests():
+    # the receiver's type is not known statically, so any attribute read
+    # of the name (``x.name``) in the user directories counts as a use
+    attrs = {node.attr for _, tree in user_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    unused = [f"{module}.{cls}.{name}"
+              for module, cls, name in public_methods() if name not in attrs]
+    assert not unused, f"used by tests only (move to tests/): {unused}"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from magnetkit import datamodel as dm
 from magnetkit import numerics as nm
 from magnetkit import trainer as tr
+from oracles import add_parameter
 
 
 FAST = dict(embed_dim=16, heads=2, encoder_hidden=16, gnn_layers=2,
@@ -56,7 +57,7 @@ def test_learning_rate_schedule_exact():
 
 def test_adam_minimizes_quadratic():
     g = nm.ComputeGraph()
-    x = g.add_parameter("x", [5.0, -3.0])
+    x = add_parameter(g, "x", [5.0, -3.0])
     state = tr.AdamState.for_params(g.flat)
     for _ in range(800):
         x.grad_out[...] = 2.0 * x.data
@@ -85,7 +86,7 @@ def check_adam_against_reference(shapes, dtype, steps, seed):
     rng = np.random.default_rng(seed)
     g = nm.ComputeGraph(dtype)
     for name, shape in shapes.items():
-        g.add_parameter(name, rng.normal(size=shape))
+        add_parameter(g, name, rng.normal(size=shape))
     arrays = g.values()
     ref = {k: a.copy() for k, a in arrays.items()}
     m = {k: np.zeros_like(a) for k, a in ref.items()}
@@ -129,7 +130,7 @@ def test_adam_rejects_nonfinite_gradient():
     for bad in (np.nan, np.inf, -np.inf):
         g = nm.ComputeGraph()
         for name, size in (("a", 3), ("b", tr.ADAM_CHUNK + 2), ("c", 4)):
-            g.add_parameter(name, np.ones(size))
+            add_parameter(g, name, np.ones(size))
         g.params["b"].grad_out[tr.ADAM_CHUNK + 1] = bad
         state = tr.AdamState.for_params(g.flat)
         with pytest.raises(tr.DivergenceError, match="'b'"):
@@ -237,6 +238,18 @@ def test_no_test_label_access_during_training():
     assert report.train_label_reads == len(assignment.indices(dm.TRAIN, dm.VAL))
 
 
+def test_train_metrics_score_the_rows_trained_on():
+    # trained on the training split alone, the reported train metrics
+    # leave the held-out validation rows out
+    ds, assignment = prepared(seed=8)
+    cfg = tr.RunConfig(seed=8, **{**FAST, "epochs": 3})
+    trained, report = tr.train(ds, cfg, assignment, train_side=(dm.TRAIN,))
+    own = tr.evaluate(trained, ds, assignment, dm.TRAIN,
+                      train_side=(dm.TRAIN,))
+    assert np.array_equal(own["indices"], assignment.train)
+    assert report.final_train_metrics == own["metrics"]
+
+
 def test_ablation_harness_runs_all_variants():
     ds, assignment = prepared(seed=9)
     cfg = tr.RunConfig(seed=9, **{**FAST, "epochs": 4})
@@ -278,9 +291,10 @@ def test_scenario_sweep_shape_and_levels():
 def test_lambda_and_sparsity_sweeps_run():
     ds, assignment = prepared(seed=12)
     cfg = tr.RunConfig(seed=12, **{**FAST, "epochs": 3})
-    lam_rows = tr.run_lambda_sweep(ds, cfg, assignment, lam_values=(0.0, 0.1))
-    assert [r["lambda"] for r in lam_rows] == [0.0, 0.1]
-    sp_rows = tr.run_sparsity_sweep(ds, cfg, assignment, rates=(0.5, 0.8))
+    lam_rows = tr.run_validation_sweep(ds, cfg, assignment, "lam", (0.0, 0.1))
+    assert [r["lam"] for r in lam_rows] == [0.0, 0.1]
+    sp_rows = tr.run_validation_sweep(ds, cfg, assignment, "sparsity_rate",
+                                      (0.5, 0.8))
     assert [r["sparsity_rate"] for r in sp_rows] == [0.5, 0.8]
     for r in lam_rows + sp_rows:
         assert "macro_f1" in r
