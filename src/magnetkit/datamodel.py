@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,35 +61,24 @@ class MultiomicsDataset:
     def n_modalities(self):
         return self.mask.shape[1]
 
-    def copy(self):
-        return MultiomicsDataset(
-            modalities=[x.copy() for x in self.modalities],
-            labels=self.labels.copy(),
-            mask=self.mask.copy(),
-            modality_names=list(self.modality_names),
-            class_count=self.class_count,
-            patient_ids=list(self.patient_ids),
-        )
-
 
 @dataclass
 class ScenarioSpec:
-    """Missingness scenario: one intact modality, a shared patient core, or random masking."""
+    """Missingness scenario: one intact modality, a shared patient core, or
+    random masking. Ratio 0 masks nothing, whatever the kind."""
 
-    kind: str = "none"  # intact_one | shared_core | random_mask | none
+    kind: str  # intact_one | shared_core | random_mask
     intact_modality: int | None = None
     ratio: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("intact_one", "shared_core", "random_mask", "none"):
+        if self.kind not in ("intact_one", "shared_core", "random_mask"):
             raise DataError(f"unknown scenario kind {self.kind!r}")
         if not (0.0 <= self.ratio <= 0.8):
             raise DataError("scenario ratio must be in [0, 0.8]")
         if self.kind == "intact_one" and self.intact_modality is None:
             raise DataError("intact_one requires intact_modality")
-        if self.kind == "none" and self.ratio > 0:
-            raise DataError("kind=none with nonzero ratio")
 
     def to_dict(self):
         return {"kind": self.kind, "intact_modality": self.intact_modality,
@@ -105,18 +94,6 @@ class SplitAssignment:
 
     def indices(self, *names):
         return np.where(np.isin(self.tags, names))[0]
-
-    @property
-    def train(self):
-        return self.indices(TRAIN)
-
-    @property
-    def validation(self):
-        return self.indices(VAL)
-
-    @property
-    def test(self):
-        return self.indices(TEST)
 
 
 # ---------------------------------------------------------------------------
@@ -287,63 +264,56 @@ MISSING_FRAC_THRESHOLD = 0.10
 
 def preprocess(ds, split=None, topk=None):
     """Per-modality pipeline: drop sparse features, mean-impute, min-max
-    scale, then keep the top-k features by one-way ANOVA F. The returned
-    matrices are C-ordered.
+    scale, then keep the top-k features by one-way ANOVA F.
 
     Statistics (means, min/max, F scores) come from training patients only
-    when a split is supplied, and are reused on the rest.
+    when a split is supplied, and are reused on the rest. Each modality is
+    written once, as a new C-ordered float64 matrix of its kept features,
+    and imputed and scaled in place; the returned dataset shares everything
+    else with ``ds``, which is left unchanged.
     """
-    if split is None:
-        train_idx = np.arange(ds.n_patients)
-    else:
-        train_idx = split.indices(TRAIN, VAL)
+    in_train = (np.ones(ds.n_patients, dtype=bool) if split is None
+                else np.isin(split.tags, (TRAIN, VAL)))
     out_mats = []
-    for i in range(ds.n_modalities):
-        x = ds.modalities[i].astype(np.float64, copy=True)
+    for i, raw in enumerate(ds.modalities):
         present = ds.mask[:, i] == 1
-        ref = present.copy()
-        ref[np.setdiff1d(np.arange(ds.n_patients), train_idx)] = False
+        ref = present & in_train
         if not ref.any():
             ref = present  # no training patient has this modality; fall back
-        xr = x[ref]
 
         # 1. drop features with too many missing values (on reference rows);
-        # compress keeps the rows contiguous, a column mask index would not
-        keep = np.isnan(xr).mean(axis=0) <= MISSING_FRAC_THRESHOLD
-        x = np.compress(keep, x, axis=1)
-        xr = xr[:, keep]
+        # compress always returns a fresh C-ordered array
+        keep = np.isnan(raw[ref]).mean(axis=0) <= MISSING_FRAC_THRESHOLD
+        x = np.compress(keep, raw, axis=1).astype(np.float64, copy=False)
         if x.shape[1] == 0:
             raise DataError(f"modality {ds.modality_names[i]} left with 0 features")
 
-        # 2. feature-wise mean imputation
-        col_mean = np.nanmean(xr, axis=0)
-        col_mean = np.nan_to_num(col_mean, nan=0.0)
-        nan_pos = np.isnan(x)
-        x[nan_pos] = np.broadcast_to(col_mean, x.shape)[nan_pos]
-        xr = x[ref]
+        # 2. feature-wise mean imputation; each feature's reference values
+        # are gathered into one contiguous row, so numpy sums them pairwise
+        cols = np.take(x.T, np.flatnonzero(ref), axis=1)
+        col_mean = np.nan_to_num(np.nanmean(cols, axis=1), nan=0.0)
+        np.copyto(x, col_mean, where=np.isnan(x))
 
         # 3. min-max to [0, 1]; constant features map to 0
+        xr = x[ref]
         lo = xr.min(axis=0)
-        hi = xr.max(axis=0)
-        span = hi - lo
+        span = xr.max(axis=0) - lo
         const = span == 0
         span[const] = 1.0
-        x = (x - lo) / span
+        x -= lo
+        x /= span
         x[:, const] = 0.0
         np.clip(x, 0.0, 1.0, out=x)
 
         # 4. ANOVA top-k on training labels; ties broken by lower index
         if topk is not None and topk < x.shape[1]:
-            f = _anova_f(x[ref], ds.labels[np.where(ref)[0]],
-                         range(ds.class_count))
+            f = _anova_f(x[ref], ds.labels[ref], range(ds.class_count))
             order = np.lexsort((np.arange(len(f)), -f))
             x = np.take(x, np.sort(order[:topk]), axis=1)
 
         x[~present] = 0.0
         out_mats.append(x)
-    out = ds.copy()
-    out.modalities = out_mats
-    return out
+    return replace(ds, modalities=out_mats)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +384,18 @@ def apply_scenario(ds, spec):
     ceil(ratio*N) uniformly chosen patients. shared_core: ceil((1-ratio)*N)
     patients keep everything, the rest are round-robin assigned a single
     modality. random_mask: independent Bernoulli masking, all-missing rows
-    resampled.
+    resampled. Ratio 0 returns ``ds`` itself; otherwise the result holds the
+    new mask and one new matrix per modality (masked rows zeroed) and shares
+    everything else with ``ds``, which is left unchanged.
     """
     if not np.all(ds.mask == 1):
         raise DataError("apply_scenario expects a fully observed dataset")
     n, m = ds.mask.shape
-    out = ds.copy()
-    if spec.kind == "none" or spec.ratio == 0.0:
-        return out
+    if spec.kind == "intact_one" and not 0 <= spec.intact_modality < m:
+        raise DataError(f"intact modality {spec.intact_modality} is out of "
+                        f"range for a dataset with {m} modalities")
+    if spec.ratio == 0.0:
+        return ds
     rng = np.random.default_rng(spec.seed)
     mask = np.ones((n, m), dtype=np.int64)
 
@@ -440,19 +414,15 @@ def apply_scenario(ds, spec):
             keep = pos % m
             mask[j] = 0
             mask[j, keep] = 1
-    elif spec.kind == "random_mask":
+    else:  # random_mask
         mask = (rng.random((n, m)) >= spec.ratio).astype(np.int64)
         empty = np.where(mask.sum(axis=1) == 0)[0]
         while len(empty):
             mask[empty] = (rng.random((len(empty), m)) >= spec.ratio).astype(np.int64)
             empty = empty[mask[empty].sum(axis=1) == 0]
-    else:
-        raise DataError(f"cannot apply scenario kind {spec.kind!r}")
 
-    for i in range(m):
-        out.modalities[i][mask[:, i] == 0] = 0.0
-    out.mask = mask
-    return out
+    return replace(ds, mask=mask, modalities=[
+        np.where(mask[:, [i]] == 1, x, 0.0) for i, x in enumerate(ds.modalities)])
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +456,7 @@ def split(ds, seed=0, max_attempts=100):
                 tags[idx[n_train:n_train + n_val]] = VAL
                 tags[idx[n_train + n_val:]] = TEST
         assignment = SplitAssignment(tags=np.array([str(t) for t in tags]))
-        train_classes = set(ds.labels[assignment.train].tolist())
+        train_classes = set(ds.labels[assignment.indices(TRAIN)].tolist())
         if train_classes == set(range(ds.class_count)) & set(ds.labels.tolist()):
             return assignment
     raise DataError("could not produce a split with every class in training")

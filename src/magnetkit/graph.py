@@ -126,9 +126,7 @@ def build_graph(ds, sims, sparsity_rate):
         raise GraphError("need at least 2 patients")
     if not (0.0 <= sparsity_rate < 1.0):
         raise GraphError("sparsity_rate must be in [0, 1)")
-    iu, iv = np.triu_indices(n, k=1)
-    cand = sims.valid[iu, iv]
-    cu, cv = iu[cand], iv[cand]
+    cu, cv = np.nonzero(np.triu(sims.valid, k=1))
     cs = sims.values[cu, cv]
     keep = cs > quantile_threshold(cs, sparsity_rate)
     edges = np.stack([cu[keep], cv[keep]], axis=1)

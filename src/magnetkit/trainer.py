@@ -271,14 +271,10 @@ def evaluate(trained, ds, split_assignment, split_name,
     """Metrics on one split using the full-mode graph (crossing edges restored)
     so held-out nodes receive neighborhood messages. Dropout disabled."""
     config = trained.config
-    if split_name == dm.TRAIN:
-        idx = split_assignment.indices(*train_side)
-    elif split_name == dm.VAL:
-        idx = split_assignment.validation
-    elif split_name == dm.TEST:
-        idx = split_assignment.test
-    else:
+    names = {dm.TRAIN: train_side, dm.VAL: (dm.VAL,), dm.TEST: (dm.TEST,)}
+    if split_name not in names:
         raise ConfigError(f"unknown split {split_name!r}")
+    idx = split_assignment.indices(*names[split_name])
     if len(idx) == 0:
         raise ConfigError(f"split {split_name!r} is empty")
 
@@ -350,8 +346,7 @@ def run_scenario_point(base_ds, kind, level, rep, config, intact_modality=0):
     seed ``config.seed + 1000 * rep`` masks the data, splits it and seeds
     the training run."""
     seed = int(config.seed + 1000 * rep)
-    spec = dm.ScenarioSpec(kind=kind if level > 0 else "none",
-                           intact_modality=intact_modality,
+    spec = dm.ScenarioSpec(kind=kind, intact_modality=intact_modality,
                            ratio=float(level), seed=seed)
     prepped, assignment = dm.split_and_preprocess(
         dm.apply_scenario(base_ds, spec), seed)

@@ -3,11 +3,16 @@ tests to check the differentiable code in `magnetkit.objective`, alignment
 targets built from asymmetric matrices, the Student-t KL node for
 asymmetric pair matrices, the generic tape ops and the chain-of-ops
 oracles of the fused layer nodes, the dense modality encoder, the
-single-component parameter builders the unit tests start from, and the
-finite-difference gradient oracle."""
+single-component parameter builders the unit tests start from, the
+finite-difference gradient oracle, and copy-based preprocessing and
+masking that the in-place versions in `magnetkit.datamodel` must match
+bitwise."""
+
+import math
 
 import numpy as np
 
+from magnetkit import datamodel as dm
 from magnetkit import fusion as fu
 from magnetkit import gnn
 from magnetkit import numerics as nm
@@ -481,3 +486,101 @@ def grad_check(build_loss, param_values, eps=1e-5):
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
             max_err = max(max_err, err)
     return max_err
+
+
+def _copy_dataset(ds, modalities=None):
+    return dm.MultiomicsDataset(
+        modalities=[x.copy() for x in ds.modalities] if modalities is None
+        else modalities,
+        labels=ds.labels.copy(), mask=ds.mask.copy(),
+        modality_names=list(ds.modality_names), class_count=ds.class_count,
+        patient_ids=list(ds.patient_ids))
+
+
+def reference_preprocess(ds, split=None, topk=None):
+    """``dm.preprocess`` as a chain of copies: cast, filter, impute, scale
+    and select each on a fresh array."""
+    if split is None:
+        train_idx = np.arange(ds.n_patients)
+    else:
+        train_idx = split.indices(dm.TRAIN, dm.VAL)
+    out_mats = []
+    for i in range(ds.n_modalities):
+        x = ds.modalities[i].astype(np.float64, copy=True)
+        present = ds.mask[:, i] == 1
+        ref = present.copy()
+        ref[np.setdiff1d(np.arange(ds.n_patients), train_idx)] = False
+        if not ref.any():
+            ref = present
+        xr = x[ref]
+
+        keep = np.isnan(xr).mean(axis=0) <= dm.MISSING_FRAC_THRESHOLD
+        x = np.compress(keep, x, axis=1)
+        xr = xr[:, keep]
+        if x.shape[1] == 0:
+            raise dm.DataError(f"modality {ds.modality_names[i]} left with 0 features")
+
+        col_mean = np.nanmean(xr, axis=0)
+        col_mean = np.nan_to_num(col_mean, nan=0.0)
+        nan_pos = np.isnan(x)
+        x[nan_pos] = np.broadcast_to(col_mean, x.shape)[nan_pos]
+        xr = x[ref]
+
+        lo = xr.min(axis=0)
+        hi = xr.max(axis=0)
+        span = hi - lo
+        const = span == 0
+        span[const] = 1.0
+        x = (x - lo) / span
+        x[:, const] = 0.0
+        np.clip(x, 0.0, 1.0, out=x)
+
+        if topk is not None and topk < x.shape[1]:
+            f = dm._anova_f(x[ref], ds.labels[np.where(ref)[0]],
+                            range(ds.class_count))
+            order = np.lexsort((np.arange(len(f)), -f))
+            x = np.take(x, np.sort(order[:topk]), axis=1)
+
+        x[~present] = 0.0
+        out_mats.append(x)
+    return _copy_dataset(ds, out_mats)
+
+
+def reference_apply_scenario(ds, spec):
+    """``dm.apply_scenario`` as copy-then-zero: every matrix is copied and
+    its masked rows are zeroed in the copy."""
+    if not np.all(ds.mask == 1):
+        raise dm.DataError("apply_scenario expects a fully observed dataset")
+    n, m = ds.mask.shape
+    out = _copy_dataset(ds)
+    if spec.ratio == 0.0:
+        return out
+    rng = np.random.default_rng(spec.seed)
+    mask = np.ones((n, m), dtype=np.int64)
+
+    if spec.kind == "intact_one":
+        k = math.ceil(spec.ratio * n)
+        for i in range(m):
+            if i == spec.intact_modality:
+                continue
+            drop = rng.choice(n, size=k, replace=False)
+            mask[drop, i] = 0
+    elif spec.kind == "shared_core":
+        n_shared = math.ceil((1.0 - spec.ratio) * n)
+        order = rng.permutation(n)
+        rest = order[n_shared:]
+        for pos, j in enumerate(rest):
+            keep = pos % m
+            mask[j] = 0
+            mask[j, keep] = 1
+    elif spec.kind == "random_mask":
+        mask = (rng.random((n, m)) >= spec.ratio).astype(np.int64)
+        empty = np.where(mask.sum(axis=1) == 0)[0]
+        while len(empty):
+            mask[empty] = (rng.random((len(empty), m)) >= spec.ratio).astype(np.int64)
+            empty = empty[mask[empty].sum(axis=1) == 0]
+
+    for i in range(m):
+        out.modalities[i][mask[:, i] == 0] = 0.0
+    out.mask = mask
+    return out

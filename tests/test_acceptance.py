@@ -449,7 +449,7 @@ def test_criterion_07_simulated_performance():
     assignment = dm.split(base, seed=0)
     prepped = dm.preprocess(base, split=assignment)
     x = np.concatenate(prepped.modalities, axis=1)
-    tri, tei = assignment.indices(dm.TRAIN, dm.VAL), assignment.test
+    tri, tei = assignment.indices(dm.TRAIN, dm.VAL), assignment.indices(dm.TEST)
     cents = np.stack([x[tri][prepped.labels[tri] == c].mean(axis=0)
                       for c in range(15)])
     d2 = ((x[tei][:, None, :] - cents[None]) ** 2).sum(-1)

@@ -567,6 +567,20 @@ def test_sweep_rows_match_scenario_sweep(tmp_path, bundle, config_file):
     assert got == [{k: str(v) for k, v in r.items()} for r in want]
 
 
+@pytest.mark.parametrize("command", ["sweep", "gen"])
+def test_intact_modality_out_of_range_is_config_error(tmp_path, bundle,
+                                                      config_file, capsys,
+                                                      command):
+    argv = (["sweep", "--dataset", bundle, "--config", config_file,
+             "--levels", "0,0.4", "--repeats", 1] if command == "sweep" else
+            ["gen", "--preset", "intersim-like", "--n", 40, "--clusters", 2,
+             "--ratio", 0.4])
+    code = run(argv + ["--scenario", "intact_one", "--intact-modality", 9,
+                       "--out", tmp_path / "out"])
+    assert code == cli.EXIT_CONFIG
+    assert "intact modality 9" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("repeats", [0, -1])
 def test_sweep_without_repeats_is_config_error(tmp_path, bundle, config_file,
                                                capsys, repeats):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from magnetkit import datamodel as dm
 from magnetkit import evalkit
+from oracles import reference_apply_scenario, reference_preprocess
 
 
 def write_csv(path, header, rows):
@@ -138,7 +140,7 @@ def test_gen_clusters_centroid_oracle():
     ds = dm.gen_clusters(seed=0)
     asg = dm.split(ds, seed=0)
     prepped = dm.preprocess(ds, split=asg)
-    tri, tei = asg.indices("train", "validation"), asg.test
+    tri, tei = asg.indices("train", "validation"), asg.indices("test")
     x = np.concatenate(prepped.modalities, axis=1)
     cents = np.stack([x[tri][prepped.labels[tri] == c].mean(axis=0)
                       for c in range(15)])
@@ -198,12 +200,111 @@ def test_scenario_kind_none_rejects_ratio():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1),
        st.sampled_from(["intact_one", "shared_core", "random_mask"]),
-       st.floats(0.0, 0.8))
-def test_scenario_never_empties_a_row(seed, kind, ratio):
+       st.floats(0.0, 0.8), st.sampled_from([np.float32, np.float64]))
+def test_scenario_never_empties_a_row(seed, kind, ratio, dtype):
     ds = dm.gen_clusters(n=30, clusters=3, dims=(2, 2, 2), seed=0)
+    ds = dm.MultiomicsDataset(
+        modalities=[x.astype(dtype) for x in ds.modalities], labels=ds.labels,
+        mask=ds.mask, modality_names=ds.modality_names,
+        class_count=ds.class_count)
+    before = [x.copy() for x in ds.modalities]
     spec = dm.ScenarioSpec(kind=kind, intact_modality=0, ratio=ratio, seed=seed)
     out = dm.apply_scenario(ds, spec)
     assert np.all(out.mask.sum(axis=1) >= 1)
+    want = reference_apply_scenario(ds, spec)
+    assert np.array_equal(out.mask, want.mask) and out.mask.dtype == want.mask.dtype
+    for got, ref, orig, x in zip(out.modalities, want.modalities, before,
+                                 ds.modalities):
+        assert got.dtype == ref.dtype and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
+        assert x.tobytes() == orig.tobytes()
+    assert np.all(ds.mask == 1)
+
+
+@pytest.mark.parametrize("index", [3, -1])
+@pytest.mark.parametrize("ratio", [0.0, 0.5])
+def test_intact_modality_out_of_range(index, ratio):
+    ds = dm.gen_clusters(n=30, clusters=3, dims=(2, 2, 2), seed=0)
+    spec = dm.ScenarioSpec(kind="intact_one", intact_modality=index,
+                           ratio=ratio)
+    with pytest.raises(dm.DataError, match=f"intact modality {index} .* 3 "
+                                           f"modalities"):
+        dm.apply_scenario(ds, spec)
+
+
+@st.composite
+def preprocess_cases(draw):
+    """A dataset with NaN shares on both sides of the drop threshold,
+    features centred at 0 or offset far from it, constant features, arbitrary values on missing rows and, optionally, a
+    modality that only test patients have; plus a split (or None) and a
+    top-k that is None, below or at least some modality's width."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(10, 40))
+    widths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    split = None
+    mask = (rng.random((n, len(widths))) < 0.7).astype(np.int64)
+    mask[:, 0] = 1
+    if draw(st.booleans()):
+        tags = rng.choice([dm.TRAIN, dm.VAL, dm.TEST], size=n, p=[0.6, 0.2, 0.2])
+        tags[:2] = [dm.TRAIN, dm.TEST]
+        split = dm.SplitAssignment(tags=tags)
+        if len(widths) > 1 and draw(st.booleans()):
+            mask[:, -1] = tags == dm.TEST
+    mats = []
+    for width in widths:
+        # an offset makes the imputed mean's last bits survive the scaling
+        x = rng.normal(draw(st.sampled_from([0.0, 1e3])), 3.0, size=(n, width))
+        for j in range(width):
+            share = draw(st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.5]))
+            x[rng.random(n) < share, j] = np.nan
+            if draw(st.integers(0, 3)) == 0:
+                x[:, j] = np.where(np.isnan(x[:, j]), np.nan, 1.5)
+        mats.append(x.astype(dtype))
+    ds = dm.MultiomicsDataset(modalities=mats, labels=rng.integers(0, 3, n),
+                              mask=mask, modality_names=[f"m{i}" for i in
+                                                         range(len(widths))],
+                              class_count=3)
+    topk = draw(st.sampled_from([None, 1, 3, 8]))
+    return ds, split, topk
+
+
+@settings(max_examples=150, deadline=None)
+@given(preprocess_cases())
+def test_preprocess_matches_reference_bitwise(case):
+    ds, split, topk = case
+    before = [x.copy() for x in ds.modalities]
+    try:
+        want = reference_preprocess(ds, split=split, topk=topk)
+    except dm.DataError:
+        with pytest.raises(dm.DataError):
+            dm.preprocess(ds, split=split, topk=topk)
+        return
+    got = dm.preprocess(ds, split=split, topk=topk)
+    for a, b, orig, x in zip(got.modalities, want.modalities, before,
+                             ds.modalities):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert x.dtype == orig.dtype and x.tobytes() == orig.tobytes()
+    assert np.array_equal(got.mask, ds.mask)
+    assert np.array_equal(got.labels, ds.labels)
+    assert got.patient_ids == ds.patient_ids
+
+
+def test_preprocess_memory_is_bounded_by_its_output():
+    # beyond the output, at most three input-sized temporaries at once
+    ds = dm.apply_scenario(
+        dm.gen_scalability(n=200, modalities=6, features_per_modality=300),
+        dm.ScenarioSpec(kind="random_mask", ratio=0.5, seed=0))
+    asg = dm.split(ds, seed=0)
+    largest = max(x.nbytes for x in ds.modalities)
+    tracemalloc.start()
+    try:
+        out = dm.preprocess(ds, split=asg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(x.nbytes for x in out.modalities) <= 3 * largest
 
 
 def test_split_proportions():
@@ -211,16 +312,16 @@ def test_split_proportions():
     half = dm.ScenarioSpec(kind="shared_core", ratio=0.5, seed=0)
     masked = dm.apply_scenario(ds, half)
     asg = dm.split(masked, seed=0)
-    assert len(asg.train) == 140
-    assert len(asg.validation) == 20
-    assert len(asg.test) == 40
+    assert len(asg.indices(dm.TRAIN)) == 140
+    assert len(asg.indices(dm.VAL)) == 20
+    assert len(asg.indices(dm.TEST)) == 40
     matched = masked.mask.sum(axis=1) == 3
     for is_matched in (True, False):
         for c in range(2):
             idx = np.where(matched == is_matched)[0]
             idx = idx[masked.labels[idx] == c]
             n = len(idx)
-            in_train = np.isin(idx, asg.train).sum()
+            in_train = np.isin(idx, asg.indices(dm.TRAIN)).sum()
             assert abs(in_train - 0.7 * n) <= 1
 
 
@@ -229,11 +330,11 @@ def test_split_seed_changes_assignment_not_sizes():
     a = dm.split(ds, seed=1)
     b = dm.split(ds, seed=2)
     assert not np.array_equal(a.tags, b.tags)
-    assert len(a.train) == len(b.train)
-    assert len(a.test) == len(b.test)
+    assert len(a.indices(dm.TRAIN)) == len(b.indices(dm.TRAIN))
+    assert len(a.indices(dm.TEST)) == len(b.indices(dm.TEST))
 
 
 def test_split_every_class_in_training():
     ds = dm.gen_clusters(n=120, clusters=10, dims=(3, 3, 3), seed=7)
     asg = dm.split(ds, seed=7)
-    assert set(ds.labels[asg.train].tolist()) == set(range(10))
+    assert set(ds.labels[asg.indices(dm.TRAIN)].tolist()) == set(range(10))

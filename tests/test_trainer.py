@@ -246,7 +246,7 @@ def test_train_metrics_score_the_rows_trained_on():
     trained, report = tr.train(ds, cfg, assignment, train_side=(dm.TRAIN,))
     own = tr.evaluate(trained, ds, assignment, dm.TRAIN,
                       train_side=(dm.TRAIN,))
-    assert np.array_equal(own["indices"], assignment.train)
+    assert np.array_equal(own["indices"], assignment.indices(dm.TRAIN))
     assert report.final_train_metrics == own["metrics"]
 
 
