@@ -3,10 +3,10 @@ modality encoders, a shared-modality patient graph with GraphSAGE message
 passing, and a CE + similarity-alignment KL objective, all on a minimal
 reverse-mode autodiff engine."""
 
-from . import (cli, datamodel, evalkit, fusion, gnn, graph, numerics,
-               objective, params_io, trainer)
+from . import (datamodel, evalkit, fusion, gnn, graph, numerics, objective,
+               params_io, trainer)
 
-__all__ = ["cli", "datamodel", "evalkit", "fusion", "gnn", "graph",
-           "numerics", "objective", "params_io", "trainer"]
+__all__ = ["datamodel", "evalkit", "fusion", "gnn", "graph", "numerics",
+           "objective", "params_io", "trainer"]
 
 __version__ = "0.1.0"

@@ -105,6 +105,26 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+# Embedding rows formatted per write of `_write_embeddings_csv`.
+EMBEDDING_ROWS_PER_WRITE = 1024
+
+
+def _write_embeddings_csv(path, patient_ids, emb):
+    """Write (patient_id, z_1, ..., z_d) rows, ``EMBEDDING_ROWS_PER_WRITE``
+    patients per write, each block formatted by one ``%`` over its fields
+    in row order."""
+    d = emb.shape[1]
+    line = "%s" + ",%.8g" * d + "\n"
+    with open(path, "w") as fh:
+        fh.write("patient_id," + ",".join(f"z_{i+1}" for i in range(d)) + "\n")
+        for lo in range(0, len(emb), EMBEDDING_ROWS_PER_WRITE):
+            part = slice(lo, lo + EMBEDDING_ROWS_PER_WRITE)
+            rows = emb[part].tolist()
+            fields = [v for pid, row in zip(patient_ids[part], rows)
+                      for v in (pid, *row)]
+            fh.write(line * len(rows) % tuple(fields))
+
+
 def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
@@ -130,12 +150,7 @@ def cmd_train(args):
     fu.write_attention_csv(result["attention"], att_path,
                            prepped.patient_ids, prepped.modality_names)
     emb_path = os.path.join(args.out, "Z_final.csv")
-    emb = result["embeddings"]
-    with open(emb_path, "w") as fh:
-        fh.write("patient_id," + ",".join(
-            f"z_{i+1}" for i in range(emb.shape[1])) + "\n")
-        for pid, row in zip(prepped.patient_ids, emb):
-            fh.write(pid + "," + ",".join(f"{v:.8g}" for v in row) + "\n")
+    _write_embeddings_csv(emb_path, prepped.patient_ids, result["embeddings"])
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as fh:
         json.dump({"report": report.to_dict(),

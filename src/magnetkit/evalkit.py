@@ -11,10 +11,11 @@ class MetricError(ValueError):
 
 
 def confusion_matrix(y_true, y_pred, n_classes):
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        cm[t, p] += 1
-    return cm
+    """Counts of (true, predicted) class pairs, true class by row."""
+    pairs = np.asarray(y_true, dtype=np.int64) * n_classes + np.asarray(
+        y_pred, dtype=np.int64)
+    return np.bincount(pairs, minlength=n_classes * n_classes).reshape(
+        n_classes, n_classes)
 
 
 def classification_metrics(y_true, y_pred, n_classes):
@@ -34,12 +35,10 @@ def classification_metrics(y_true, y_pred, n_classes):
     n = cm.sum()
     accuracy = float(np.trace(cm)) / n
 
-    f1 = np.zeros(n_classes)
     support = cm.sum(axis=1)
-    for c in range(n_classes):
-        tp = cm[c, c]
-        denom = 2 * tp + (cm[c].sum() - tp) + (cm[:, c].sum() - tp)
-        f1[c] = 2.0 * tp / denom if denom > 0 else 0.0
+    denom = support + cm.sum(axis=0)  # 2 tp + fn + fp
+    f1 = np.divide(2.0 * np.diag(cm), denom, out=np.zeros(n_classes),
+                   where=denom > 0)
     macro_f1 = float(f1.mean())
     weighted_f1 = float((f1 * support).sum() / n) if n else 0.0
 
@@ -87,16 +86,10 @@ def ranking_metrics(y_true, scores):
 
 
 def _midranks(x):
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=float)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of ``x``, each run of ties given its mean rank: a value
+    whose group ends at rank e and holds c ties ranks e - (c - 1) / 2."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def cluster_metrics(z, labels):

@@ -192,6 +192,9 @@ class TrainedModel:
     feature_dims: list
     n_classes: int
     report: TrainReport
+    # (dataset, its full-mode graph, that graph's view) from ``train``;
+    # None for a model loaded from a params file
+    full_graph: tuple | None = None
 
     @property
     def values(self):
@@ -210,8 +213,9 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     """Full training per the inductive protocol.
 
     The graph is built once; the training view drops every edge crossing to
-    the test side. The input-space pair distribution P is fixed; Q is
-    recomputed from the current fused embeddings each epoch.
+    the test side, and the model keeps the full graph for ``evaluate``. The
+    input-space pair distribution P is fixed; Q is recomputed from the
+    current fused embeddings each epoch.
     """
     dtype = config.dtype
     rng = np.random.default_rng(config.seed)
@@ -228,6 +232,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     y_train = guard.take(train_idx)
 
     target = obj.build_P(sims, train_idx, dtype) if config.lam > 0 else None
+    del sims  # N x N; the training view and P hold what they need of it
 
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
@@ -260,16 +265,27 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
 
     trained = TrainedModel(params=params, config=config,
                            feature_dims=[x.shape[1] for x in ds.modalities],
-                           n_classes=ds.class_count, report=report)
+                           n_classes=ds.class_count, report=report,
+                           full_graph=(ds, g, _full_view(g, config)))
     report.final_train_metrics = evaluate(trained, ds, split_assignment,
                                           dm.TRAIN, train_side)["metrics"]
     return trained, report
 
 
+def _full_view(g, config):
+    """The GraphView evaluation runs on: ``g`` in the run dtype, with edge
+    features unless the config turns them off."""
+    return gnn.GraphView.from_graph(g, edge_features_on=not config.no_edge_feature,
+                                    dtype=config.dtype)
+
+
 def evaluate(trained, ds, split_assignment, split_name,
              train_side=(dm.TRAIN, dm.VAL)):
     """Metrics on one split using the full-mode graph (crossing edges restored)
-    so held-out nodes receive neighborhood messages. Dropout disabled."""
+    so held-out nodes receive neighborhood messages. Dropout disabled. The
+    graph depends on the data alone and a dataset is never written after it
+    is made, so the graph ``train`` kept is reused when ``ds`` is the
+    dataset object it trained on; any other dataset gets its own."""
     config = trained.config
     names = {dm.TRAIN: train_side, dm.VAL: (dm.VAL,), dm.TEST: (dm.TEST,)}
     if split_name not in names:
@@ -278,10 +294,11 @@ def evaluate(trained, ds, split_assignment, split_name,
     if len(idx) == 0:
         raise ConfigError(f"split {split_name!r} is empty")
 
-    sims = pg.pairwise_similarity(ds)
-    g = pg.build_graph(ds, sims, config.sparsity_rate)
-    view = gnn.GraphView.from_graph(g, edge_features_on=not config.no_edge_feature,
-                                    dtype=config.dtype)
+    if trained.full_graph is not None and trained.full_graph[0] is ds:
+        _, g, view = trained.full_graph
+    else:
+        g = pg.build_graph(ds, pg.pairwise_similarity(ds), config.sparsity_rate)
+        view = _full_view(g, config)
     logits, att, _, z_final = gnn.forward(trained.params, ds.modalities,
                                             ds.mask, view, config,
                                             training=False)

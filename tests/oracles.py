@@ -4,9 +4,12 @@ targets built from asymmetric matrices, the Student-t KL node for
 asymmetric pair matrices, the generic tape ops and the chain-of-ops
 oracles of the fused layer nodes, the dense modality encoder, the
 single-component parameter builders the unit tests start from, the
-finite-difference gradient oracle, and copy-based preprocessing and
+finite-difference gradient oracle, copy-based preprocessing and
 masking that the in-place versions in `magnetkit.datamodel` must match
-bitwise."""
+bitwise, loop versions of the confusion matrix and midranks that
+`magnetkit.evalkit` must match exactly, and per-row CSV writers that the
+block writers of the edge and embedding files must match byte for
+byte."""
 
 import math
 
@@ -584,3 +587,44 @@ def reference_apply_scenario(ds, spec):
         out.modalities[i][mask[:, i] == 0] = 0.0
     out.mask = mask
     return out
+
+
+def confusion_matrix(y_true, y_pred, n_classes):
+    """``evalkit.confusion_matrix`` as one increment per sample."""
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        cm[t, p] += 1
+    return cm
+
+
+def midranks(x):
+    """1-based ranks of ``x`` with each run of ties given its mean rank,
+    walked run by run over a stable sort."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=float)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def export_edges_csv(g, path):
+    """``graph.export_edges_csv`` as one write per edge."""
+    with open(path, "w") as fh:
+        fh.write("u,v,similarity,tag\n")
+        for (u, v), s, r in zip(g.edges, g.similarities, g.reconnection):
+            tag = "reconnection" if r else "shared"
+            fh.write(f"{u},{v},{s:.6f},{tag}\n")
+
+
+def write_embeddings_csv(path, patient_ids, emb):
+    """``cli._write_embeddings_csv`` as one write per patient."""
+    with open(path, "w") as fh:
+        fh.write("patient_id," + ",".join(
+            f"z_{i+1}" for i in range(emb.shape[1])) + "\n")
+        for pid, row in zip(patient_ids, emb):
+            fh.write(pid + "," + ",".join(f"{v:.8g}" for v in row) + "\n")

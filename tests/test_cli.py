@@ -15,7 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from magnetkit import cli, params_io
 from magnetkit import datamodel as dm
 from magnetkit import trainer as tr
+from oracles import write_embeddings_csv
 
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 FAST_CONFIG = {
     "embed_dim": 16, "heads": 2, "encoder_hidden": 16, "gnn_layers": 2,
@@ -492,16 +495,45 @@ def test_train_fuzzed_bundle_is_config_error(trained_run, capsys, data):
     assert "Traceback" not in err
 
 
+def src_env():
+    """The environment with the package sources first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def test_scripts_print_help():
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    scripts = sorted((root / "scripts").glob("*.py"))
+    env = src_env()
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
     assert len(scripts) == 5
     for script in scripts:
         done = subprocess.run([sys.executable, str(script), "--help"], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (script.name, done.stderr)
+
+
+def test_module_entry_point_prints_help():
+    done = subprocess.run([sys.executable, "-m", "magnetkit", "--help"],
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "graph-stats" in done.stdout
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows_per_write", [cli.EMBEDDING_ROWS_PER_WRITE, 4, 1])
+def test_embedding_csv_bytes_match_per_row_writer(tmp_path, monkeypatch,
+                                                  dtype, rows_per_write):
+    rng = np.random.default_rng(5)
+    emb = (rng.normal(size=(11, 6)) * 10.0 ** rng.integers(-9, 9, size=(11, 6))
+           ).astype(dtype)
+    emb[0, :3] = [0.0, -0.0, 1.0]
+    ids = [f"p{j:05d}" for j in range(len(emb))]
+    monkeypatch.setattr(cli, "EMBEDDING_ROWS_PER_WRITE", rows_per_write)
+    cli._write_embeddings_csv(tmp_path / "blocks.csv", ids, emb)
+    write_embeddings_csv(tmp_path / "rows.csv", ids, emb)
+    assert (tmp_path / "blocks.csv").read_bytes() == \
+        (tmp_path / "rows.csv").read_bytes()
 
 
 def test_bad_config_key_is_config_error(tmp_path, bundle):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magnetkit import evalkit as ek
+import oracles
 
 
 def brute_classification(y_true, y_pred, n_classes):
@@ -128,6 +129,38 @@ def test_classification_random_cases_match_brute_force():
         assert m["macro_f1"] == pytest.approx(macro, abs=1e-10)
         assert m["weighted_f1"] == pytest.approx(weighted, abs=1e-10)
         assert m["mcc"] == pytest.approx(mcc, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_confusion_matrix_matches_loop_oracle(k, data):
+    labels = st.lists(st.integers(0, k - 1), min_size=1, max_size=40)
+    y_true = data.draw(labels)
+    y_pred = data.draw(st.lists(st.integers(0, k - 1), min_size=len(y_true),
+                                max_size=len(y_true)))
+    got = ek.confusion_matrix(np.array(y_true), np.array(y_pred), k)
+    want = oracles.confusion_matrix(y_true, y_pred, k)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# few distinct values, so most draws tie; -0.0 ties with 0.0
+TIED_SCORES = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TIED_SCORES | st.floats(allow_nan=False), min_size=2,
+                max_size=40), st.data())
+def test_auroc_midranks_match_loop_oracle(scores, data):
+    n = len(scores)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                    max_size=n)))
+    y[data.draw(st.permutations(range(n)))[:2]] = [0, 1]
+    ranks = oracles.midranks(np.array(scores))
+    assert ek._midranks(np.array(scores)).tobytes() == ranks.tobytes()
+    n_pos = int(y.sum())
+    n_neg = n - n_pos
+    want = (ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert ek.ranking_metrics(y, scores)["auroc"] == want
 
 
 def test_binary_mcc_matches_textbook_formula():

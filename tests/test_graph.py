@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from magnetkit import datamodel as dm
 from magnetkit import graph as gr
+from oracles import export_edges_csv
 
 
 def make_ds(rng, n=10, m=3, d=4, mask=None):
@@ -362,6 +363,20 @@ def test_degree_stats_and_export(tmp_path):
     assert lines[0] == "u,v,similarity,tag"
     assert lines[1] == "0,1,0.500000,shared"
     assert lines[2] == "0,2,0.250000,reconnection"
+
+
+@pytest.mark.parametrize("block", [gr.EXPORT_BLOCK, 8, 1])
+def test_edge_export_bytes_match_per_edge_writer(tmp_path, monkeypatch, block):
+    ds = dm.preprocess(dm.gen_clusters(n=80, clusters=3, dims=(6, 5, 4),
+                                       seed=4))
+    g = gr.build_graph(ds, gr.pairwise_similarity(ds), sparsity_rate=0.995)
+    assert g.reconnection.any() and not g.reconnection.all()
+    assert len(g.edges) % 8 != 0  # the last block is a short one
+    monkeypatch.setattr(gr, "EXPORT_BLOCK", block)
+    gr.export_edges_csv(g, tmp_path / "blocks.csv")
+    export_edges_csv(g, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == \
+        (tmp_path / "rows.csv").read_bytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from magnetkit import datamodel as dm
+from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import trainer as tr
 from oracles import add_parameter
@@ -227,6 +230,70 @@ def test_evaluate_uses_full_graph_and_is_deterministic():
     assert crossing > 0  # full-mode graph restores crossing edges
     with pytest.raises(tr.ConfigError):
         tr.evaluate(trained, ds, assignment, "holdout")
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_evaluation(got, want):
+    assert got["metrics"] == want["metrics"]
+    for key in ("logits", "embeddings", "attention", "indices"):
+        assert_same_bits(got[key], want[key])
+    assert got["graph"].n_nodes == want["graph"].n_nodes
+    for key in ("edges", "similarities", "reconnection"):
+        assert_same_bits(getattr(got["graph"], key), getattr(want["graph"], key))
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` in a one-element list."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_evaluate_reuses_the_graph_train_built(monkeypatch, precision):
+    ds, assignment = prepared(seed=7)
+    cfg = tr.RunConfig(seed=7, precision=precision, **FAST)
+    with monkeypatch.context() as m:
+        sims = counted(m, gr, "pairwise_similarity")
+        builds = counted(m, gr, "build_graph")
+        trained, _ = tr.train(ds, cfg, assignment)
+        tr.evaluate(trained, ds, assignment, dm.TEST)
+    assert sims == [1] and builds == [1]
+
+    # the same weights with no kept graph, as a model loaded from file
+    loaded = tr.TrainedModel(params=trained.params, config=trained.config,
+                             feature_dims=trained.feature_dims,
+                             n_classes=trained.n_classes,
+                             report=tr.TrainReport())
+    want = tr.evaluate(loaded, ds, assignment, dm.TEST)
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("evaluate rebuilt the graph")
+
+    with monkeypatch.context() as m:
+        m.setattr(gr, "pairwise_similarity", rebuild)
+        m.setattr(gr, "build_graph", rebuild)
+        m.setattr(tr.gnn.GraphView, "from_graph", classmethod(rebuild))
+        reused = tr.evaluate(trained, ds, assignment, dm.TEST)
+    assert_same_evaluation(reused, want)
+
+    # an equal dataset that is another object gets its own graph
+    with monkeypatch.context() as m:
+        sims = counted(m, gr, "pairwise_similarity")
+        other = tr.evaluate(trained, dataclasses.replace(ds), assignment,
+                            dm.TEST)
+    assert sims == [1]
+    assert_same_evaluation(other, want)
 
 
 def test_no_test_label_access_during_training():
