@@ -32,12 +32,19 @@ class PatientGraph:
 
     def __post_init__(self):
         if len(self.edges):
-            if np.any(self.edges[:, 0] == self.edges[:, 1]):
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            if np.any(u == v):
                 raise GraphError("self-loop")
-            # sorted on both columns, equal rows are adjacent
-            rows = self.edges[np.lexsort(self.edges.T)]
-            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
-                raise GraphError("duplicate edge")
+            # one key per edge, equal exactly when the rows are; the
+            # builders emit their candidates in increasing key order, so
+            # only appended edges make a sort necessary
+            lo = int(self.edges.min())
+            span = int(self.edges.max()) - lo + 1
+            keys = (u.astype(np.int64) - lo) * span + (v - lo)
+            if not np.all(keys[1:] > keys[:-1]):
+                keys.sort()
+                if np.any(keys[1:] == keys[:-1]):
+                    raise GraphError("duplicate edge")
 
     def degrees(self):
         return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
@@ -63,6 +70,7 @@ def pairwise_similarity(ds):
     n = ds.n_patients
     present = (ds.mask == 1).astype(np.float64)
     total = np.zeros((n, n))
+    gram = np.empty((n, n))
     for i in range(ds.n_modalities):
         x = ds.modalities[i]
         norms = np.linalg.norm(x, axis=1)
@@ -70,12 +78,13 @@ def pairwise_similarity(ds):
         xn = x / safe[:, None]
         # an absent or zero-norm row adds exactly 0 to every pair it is in
         xn[(present[:, i] == 0) | (norms == 0)] = 0.0
-        total += xn @ xn.T
+        total += np.matmul(xn, xn.T, out=gram)
     # against a copy: numpy's symmetric path for present @ present.T is
     # slower here, and the small integer counts are exact either way
-    counts = present @ present.T.copy()
+    counts = np.matmul(present, present.T.copy(), out=gram)
     valid = counts > 0
-    values = np.divide(total, counts, out=np.zeros_like(total), where=valid)
+    # a pair with no shared modality has a total of exactly 0
+    values = np.divide(total, np.maximum(counts, 1.0, out=counts), out=total)
     np.clip(values, -1.0, 1.0, out=values)
     np.fill_diagonal(values, 1.0)
     np.fill_diagonal(valid, True)
@@ -126,13 +135,15 @@ def build_graph(ds, sims, sparsity_rate):
         raise GraphError("need at least 2 patients")
     if not (0.0 <= sparsity_rate < 1.0):
         raise GraphError("sparsity_rate must be in [0, 1)")
-    cu, cv = np.nonzero(np.triu(sims.valid, k=1))
-    cs = sims.values[cu, cv]
-    keep = cs > quantile_threshold(cs, sparsity_rate)
-    edges = np.stack([cu[keep], cv[keep]], axis=1)
+    upper = np.triu(sims.valid, k=1)
+    threshold = quantile_threshold(sims.values[upper], sparsity_rate)
+    upper &= sims.values > threshold
+    cu, cv = np.nonzero(upper)
+    edges = np.stack([cu, cv], axis=1)
     isolated = np.flatnonzero(np.bincount(edges.ravel(), minlength=n) == 0)
     edges, svals, recon, stranded = _reconnect(
-        edges, cs[keep], np.zeros(len(edges), dtype=bool), sims, isolated)
+        edges, sims.values[cu, cv], np.zeros(len(edges), dtype=bool), sims,
+        isolated)
     if len(stranded):
         raise GraphError(
             f"node {stranded[0]} has no valid neighbor to reconnect to")

@@ -66,14 +66,14 @@ def build_P(sims, train_ids, dtype=np.float64):
     for bit.
     """
     idx = np.asarray(train_ids, dtype=np.int64)
-    block = np.ix_(idx, idx)
-    vals = sims.values[block]
-    valid = sims.valid[block]
+    valid = sims.valid.take(idx, 0).take(idx, 1)
     np.fill_diagonal(valid, False)
     if not valid.any():
         raise ObjectiveError("no valid patient pair for the alignment loss")
-    aff = np.where(valid, (1.0 + vals) / 2.0, 0.0)
-    del vals
+    aff = sims.values.take(idx, 0).take(idx, 1)
+    aff += 1.0
+    aff /= 2.0
+    np.copyto(aff, 0.0, where=~valid)
     total = aff.sum()
     if total <= 0:
         # all valid pairs at cosine -1; fall back to uniform over valid pairs
@@ -82,8 +82,10 @@ def build_P(sims, train_ids, dtype=np.float64):
     aff /= total
     p = aff.astype(dtype, copy=False)
     pos = p[p > 0].astype(np.float64, copy=False)
+    p_log_p = np.log(pos)
+    p_log_p *= pos
     return AlignmentTarget(p=p, weights=valid.astype(dtype),
-                           p_log_p=float((pos * np.log(pos)).sum()))
+                           p_log_p=float(p_log_p.sum()))
 
 
 def kl_alignment_loss(z, target, rows=None):

@@ -185,6 +185,19 @@ class TrainReport:
         return dataclasses.asdict(self)
 
 
+@dataclass(frozen=True)
+class EvalInputs:
+    """What evaluating on one dataset reads besides the weights: the
+    dataset, its full-mode graph, that graph's GraphView in the run dtype
+    and the encoders' ObservedRows. A dataset is never written after it is
+    made, so one record serves every evaluation on it."""
+
+    dataset: dm.MultiomicsDataset
+    graph: pg.PatientGraph
+    view: gnn.GraphView
+    rows: fu.ObservedRows
+
+
 @dataclass
 class TrainedModel:
     params: gnn.ModelParams
@@ -192,9 +205,9 @@ class TrainedModel:
     feature_dims: list
     n_classes: int
     report: TrainReport
-    # (dataset, its full-mode graph, that graph's view) from ``train``;
-    # None for a model loaded from a params file
-    full_graph: tuple | None = None
+    # the training dataset's EvalInputs from ``train``; None for a model
+    # loaded from a params file
+    eval_inputs: EvalInputs | None = None
 
     @property
     def values(self):
@@ -213,7 +226,8 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     """Full training per the inductive protocol.
 
     The graph is built once; the training view drops every edge crossing to
-    the test side, and the model keeps the full graph for ``evaluate``. The
+    the test side, and the model keeps the full graph, its view and the
+    encoder inputs as the dataset's EvalInputs for ``evaluate``. The
     input-space pair distribution P is fixed; Q is recomputed from the
     current fused embeddings each epoch.
     """
@@ -223,9 +237,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     sims = pg.pairwise_similarity(ds)
     g = pg.build_graph(ds, sims, config.sparsity_rate)
     g_train = pg.inductive_filter(g, sims, split_assignment.tags, train_side)
-    view = gnn.GraphView.from_graph(g_train,
-                                    edge_features_on=not config.no_edge_feature,
-                                    dtype=dtype)
+    view = _view(g_train, config)
 
     train_idx = split_assignment.indices(*train_side)
     guard = LabelGuard(ds.labels, allowed=train_idx)
@@ -266,26 +278,35 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     trained = TrainedModel(params=params, config=config,
                            feature_dims=[x.shape[1] for x in ds.modalities],
                            n_classes=ds.class_count, report=report,
-                           full_graph=(ds, g, _full_view(g, config)))
+                           eval_inputs=EvalInputs(ds, g, _view(g, config),
+                                                  inputs))
     report.final_train_metrics = evaluate(trained, ds, split_assignment,
                                           dm.TRAIN, train_side)["metrics"]
     return trained, report
 
 
-def _full_view(g, config):
-    """The GraphView evaluation runs on: ``g`` in the run dtype, with edge
-    features unless the config turns them off."""
+def _view(g, config):
+    """The GraphView of ``g`` in the run dtype, with edge features unless
+    the config turns them off."""
     return gnn.GraphView.from_graph(g, edge_features_on=not config.no_edge_feature,
                                     dtype=config.dtype)
+
+
+def _eval_inputs(ds, config):
+    """The EvalInputs of a dataset ``train`` did not keep: its similarity,
+    full graph, view and ObservedRows, built from scratch."""
+    g = pg.build_graph(ds, pg.pairwise_similarity(ds), config.sparsity_rate)
+    return EvalInputs(ds, g, _view(g, config),
+                      fu.ObservedRows.of(ds.modalities, ds.mask, config.dtype))
 
 
 def evaluate(trained, ds, split_assignment, split_name,
              train_side=(dm.TRAIN, dm.VAL)):
     """Metrics on one split using the full-mode graph (crossing edges restored)
     so held-out nodes receive neighborhood messages. Dropout disabled. The
-    graph depends on the data alone and a dataset is never written after it
-    is made, so the graph ``train`` kept is reused when ``ds`` is the
-    dataset object it trained on; any other dataset gets its own."""
+    graph and the encoder inputs depend on the data alone, so the
+    EvalInputs ``train`` kept are reused when ``ds`` is the dataset object
+    it trained on; any other dataset gets its own."""
     config = trained.config
     names = {dm.TRAIN: train_side, dm.VAL: (dm.VAL,), dm.TEST: (dm.TEST,)}
     if split_name not in names:
@@ -294,14 +315,11 @@ def evaluate(trained, ds, split_assignment, split_name,
     if len(idx) == 0:
         raise ConfigError(f"split {split_name!r} is empty")
 
-    if trained.full_graph is not None and trained.full_graph[0] is ds:
-        _, g, view = trained.full_graph
-    else:
-        g = pg.build_graph(ds, pg.pairwise_similarity(ds), config.sparsity_rate)
-        view = _full_view(g, config)
-    logits, att, _, z_final = gnn.forward(trained.params, ds.modalities,
-                                            ds.mask, view, config,
-                                            training=False)
+    kept = trained.eval_inputs
+    if kept is None or kept.dataset is not ds:
+        kept = _eval_inputs(ds, config)
+    logits, att, _, z_final = gnn.forward(trained.params, kept.rows, ds.mask,
+                                          kept.view, config, training=False)
     lg = logits.data[idx]
     shifted = lg - lg.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
@@ -312,7 +330,7 @@ def evaluate(trained, ds, split_assignment, split_name,
                                   ds.class_count)
     return {"metrics": metrics, "attention": att,
             "embeddings": z_final.data, "logits": logits.data,
-            "graph": g, "indices": idx}
+            "graph": kept.graph, "indices": idx}
 
 
 # ---------------------------------------------------------------------------

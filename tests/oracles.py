@@ -7,9 +7,10 @@ single-component parameter builders the unit tests start from, the
 finite-difference gradient oracle, copy-based preprocessing and
 masking that the in-place versions in `magnetkit.datamodel` must match
 bitwise, loop versions of the confusion matrix and midranks that
-`magnetkit.evalkit` must match exactly, and per-row CSV writers that the
+`magnetkit.evalkit` must match exactly, per-row CSV writers that the
 block writers of the edge and embedding files must match byte for
-byte."""
+byte, and the lexsort edge check that `graph.PatientGraph`'s key check
+must agree with."""
 
 import math
 
@@ -18,6 +19,7 @@ import numpy as np
 from magnetkit import datamodel as dm
 from magnetkit import fusion as fu
 from magnetkit import gnn
+from magnetkit import graph as pg
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 
@@ -628,3 +630,14 @@ def write_embeddings_csv(path, patient_ids, emb):
             f"z_{i+1}" for i in range(emb.shape[1])) + "\n")
         for pid, row in zip(patient_ids, emb):
             fh.write(pid + "," + ",".join(f"{v:.8g}" for v in row) + "\n")
+
+
+def check_edges(edges):
+    """``graph.PatientGraph``'s edge check as a lexsort on both columns,
+    after which equal rows are adjacent."""
+    if len(edges):
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise pg.GraphError("self-loop")
+        rows = edges[np.lexsort(edges.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+            raise pg.GraphError("duplicate edge")

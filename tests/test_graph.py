@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from magnetkit import datamodel as dm
 from magnetkit import graph as gr
-from oracles import export_edges_csv
+from oracles import check_edges, export_edges_csv
 
 
 def make_ds(rng, n=10, m=3, d=4, mask=None):
@@ -284,6 +284,41 @@ def test_duplicate_edge_rejected():
         gr.PatientGraph(n_nodes=3, edges=np.array([[0, 1], [0, 1]]),
                         similarities=np.zeros(2),
                         reconnection=np.zeros(2, dtype=bool))
+
+
+def edge_check_outcome(check, edges):
+    try:
+        check(edges)
+    except gr.GraphError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 40), st.integers(-3, 40)),
+                max_size=30),
+       st.booleans(), st.integers(0, 2), st.integers(0, 2 ** 31 - 1))
+def test_edge_check_matches_lexsort_oracle(pairs, ordered, repeats, seed):
+    """Edge arrays in the builders' order (u < v, increasing) or shuffled,
+    with repeated rows, self-loops or none at all: the key check accepts
+    and rejects exactly what the lexsort check does."""
+    rng = np.random.default_rng(seed)
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if ordered:
+        edges = np.unique(np.sort(edges, axis=1), axis=0)
+    if len(edges) and repeats:
+        edges = np.insert(edges, rng.integers(0, len(edges) + 1, size=repeats),
+                          edges[rng.integers(0, len(edges), size=repeats)],
+                          axis=0)
+    if not ordered:
+        rng.shuffle(edges)
+
+    def build(e):
+        gr.PatientGraph(n_nodes=44, edges=e, similarities=np.zeros(len(e)),
+                        reconnection=np.zeros(len(e), dtype=bool))
+
+    assert (edge_check_outcome(build, edges)
+            == edge_check_outcome(check_edges, edges))
 
 
 def test_inductive_filter_removes_crossing_edges():

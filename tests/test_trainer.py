@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magnetkit import datamodel as dm
+from magnetkit import fusion as fu
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import trainer as tr
@@ -266,33 +267,39 @@ def test_evaluate_reuses_the_graph_train_built(monkeypatch, precision):
     with monkeypatch.context() as m:
         sims = counted(m, gr, "pairwise_similarity")
         builds = counted(m, gr, "build_graph")
+        gathers = counted(m, fu.ObservedRows, "of")
         trained, _ = tr.train(ds, cfg, assignment)
         tr.evaluate(trained, ds, assignment, dm.TEST)
-    assert sims == [1] and builds == [1]
+    assert sims == [1] and builds == [1] and gathers == [1]
 
-    # the same weights with no kept graph, as a model loaded from file
+    # the same weights with nothing kept, as a model loaded from file
     loaded = tr.TrainedModel(params=trained.params, config=trained.config,
                              feature_dims=trained.feature_dims,
                              n_classes=trained.n_classes,
                              report=tr.TrainReport())
-    want = tr.evaluate(loaded, ds, assignment, dm.TEST)
+    with monkeypatch.context() as m:
+        gathers = counted(m, fu.ObservedRows, "of")
+        want = tr.evaluate(loaded, ds, assignment, dm.TEST)
+    assert gathers == [1]
 
     def rebuild(*args, **kwargs):
-        raise AssertionError("evaluate rebuilt the graph")
+        raise AssertionError("evaluate rebuilt its inputs")
 
     with monkeypatch.context() as m:
         m.setattr(gr, "pairwise_similarity", rebuild)
         m.setattr(gr, "build_graph", rebuild)
         m.setattr(tr.gnn.GraphView, "from_graph", classmethod(rebuild))
+        m.setattr(fu.ObservedRows, "of", classmethod(rebuild))
         reused = tr.evaluate(trained, ds, assignment, dm.TEST)
     assert_same_evaluation(reused, want)
 
-    # an equal dataset that is another object gets its own graph
+    # an equal dataset that is another object gets its own graph and inputs
     with monkeypatch.context() as m:
         sims = counted(m, gr, "pairwise_similarity")
+        gathers = counted(m, fu.ObservedRows, "of")
         other = tr.evaluate(trained, dataclasses.replace(ds), assignment,
                             dm.TEST)
-    assert sims == [1]
+    assert sims == [1] and gathers == [1]
     assert_same_evaluation(other, want)
 
 
