@@ -11,11 +11,14 @@ CHANGE first in odd ones. For every end-to-end metric that
 ``BENCHMARK.json`` in CHANGE names, the report gives each side's median
 and quartiles, the relative change of the medians, the pairs CHANGE won
 (ties count for neither side) and whether the medians differ by more than
-BASE's interquartile range. Two verdicts close each row: ``claim`` is yes
-when CHANGE won at least 9 in 10 of the pairs and its median is better by
-more than BASE's interquartile range; ``regressed`` is yes when CHANGE's
-median is worse than BASE's by more than the metric's ``bound``. Every
-run's ``failed`` count is printed too.
+BASE's interquartile range. Three verdicts close each row: ``resolved`` is
+no when the wider of the two sides' interquartile ranges, relative to
+BASE's median, exceeds the metric's ``bound``, unless every CHANGE run is
+better than every BASE run (such a metric is unresolved, not unchanged);
+``claim`` is yes when at least 10 pairs ran, CHANGE won at least 9 in 10
+of them and its median is better by more than BASE's interquartile range;
+``regressed`` is yes when CHANGE's median is worse than BASE's by more
+than the metric's ``bound``. Every run's ``failed`` count is printed too.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def report(metrics, runs):
     change result) pairs."""
     lines = [f"{'metric':14s} {'base median [q1, q3]':>30s} "
              f"{'change median [q1, q3]':>30s} {'change':>8s} {'wins':>6s}"
-             "  > base IQR  claim  regressed"]
+             "  > base IQR  resolved  claim  regressed"]
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base = [b["metrics"][name]["value"] for b, _ in runs]
@@ -85,12 +88,18 @@ def report(metrics, runs):
         rel = (mc - mb) / mb if mb else float("nan")
         gain = -rel if lower else rel
         beyond_iqr = abs(mc - mb) > b3 - b1
-        claim = 10 * wins >= 9 * len(runs) and gain > 0 and beyond_iqr
+        spread = max(b3 - b1, c3 - c1) / abs(mb) if mb else float("inf")
+        separated = (max(change) < min(base) if lower
+                     else min(change) > max(base))
+        resolved = spread <= m["bound"] or separated
+        claim = (len(runs) >= 10 and 10 * wins >= 9 * len(runs) and gain > 0
+                 and beyond_iqr)
         cells = [f"{mb:.4g} [{b1:.4g}, {b3:.4g}]",
                  f"{mc:.4g} [{c1:.4g}, {c3:.4g}]"]
         lines.append(f"{name:14s} {cells[0]:>30s} {cells[1]:>30s} "
                      f"{rel:+8.1%} {wins:3d}/{len(runs):<2d}  "
-                     f"{yes_no(beyond_iqr):>10s}  {yes_no(claim):>5s}  "
+                     f"{yes_no(beyond_iqr):>10s}  {yes_no(resolved):>8s}  "
+                     f"{yes_no(claim):>5s}  "
                      f"{yes_no(-gain > m['bound']):>9s}")
     return lines
 

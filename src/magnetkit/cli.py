@@ -391,7 +391,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (tr.ConfigError, dm.DataError, pg.GraphError,
-            params_io.ParamsIOError, FileNotFoundError, ValueError) as exc:
+            params_io.ParamsIOError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except tr.DivergenceError as exc:

@@ -272,6 +272,8 @@ def preprocess(ds, split=None, topk=None):
     and imputed and scaled in place; the returned dataset shares everything
     else with ``ds``, which is left unchanged.
     """
+    if topk is not None and topk < 1:
+        raise DataError(f"topk must be at least 1, got {topk}")
     in_train = (np.ones(ds.n_patients, dtype=bool) if split is None
                 else np.isin(split.tags, (TRAIN, VAL)))
     out_mats = []

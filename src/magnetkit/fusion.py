@@ -16,13 +16,14 @@ class FusionError(ValueError):
 
 @dataclass(frozen=True)
 class ObservedRows:
-    """The encoders' input: for each modality, the patients that have it
-    (``rows[i]``) and their feature rows (``blocks[i]``), gathered into a
-    C-ordered block of the run dtype. A training run builds it once and
-    every epoch reads it; the rows of absent modalities are never copied.
+    """The forward pass's input: the N x M 0/1 ``mask`` and, for each
+    modality, the patients that have it (``rows[i]``) and their feature
+    rows (``blocks[i]``), gathered into a C-ordered block of the run dtype.
+    A training run builds it once and every epoch reads it; the rows of
+    absent modalities are never copied.
     """
 
-    n_patients: int
+    mask: np.ndarray
     rows: list
     blocks: list
 
@@ -30,27 +31,21 @@ class ObservedRows:
     def of(cls, modalities, mask, dtype):
         mask = np.asarray(mask)
         rows = [np.flatnonzero(mask[:, i]) for i in range(len(modalities))]
-        return cls(n_patients=len(mask), rows=rows,
+        return cls(mask=mask, rows=rows,
                    blocks=[np.ascontiguousarray(x[r], dtype=dtype)
                            for x, r in zip(modalities, rows)])
 
 
-def encode(modalities, mask, enc_params, dropout=0.0, rng=None):
-    """Run the observed rows of each modality through its MLP encoder
-    (matmul, bias, ReLU, matmul, bias) as one tape node; returns the
-    N x M x d block whose entry (j, i) is patient j's modality-i embedding.
-
-    ``modalities`` is an ``ObservedRows`` or the full N x F_i matrices,
-    whose observed rows (``mask[:, i]`` 1) are then gathered here; the
-    other entries are exactly zero and their placeholders are never read.
+def encode(obs, enc_params, dropout=0.0, rng=None):
+    """Run the observed rows of each modality (an ``ObservedRows``) through
+    its MLP encoder (matmul, bias, ReLU, matmul, bias) as one tape node;
+    returns the N x M x d block whose entry (j, i) is patient j's
+    modality-i embedding, exactly zero where the modality is missing.
     With ``dropout`` > 0 each modality's embeddings are multiplied by an
     N x d inverted-dropout mask drawn from ``rng``, in modality order.
     """
-    obs = modalities
-    if not isinstance(obs, ObservedRows):
-        obs = ObservedRows.of(modalities, mask, enc_params[0][0].data.dtype)
     w_last = enc_params[0][2].data
-    n, d = obs.n_patients, w_last.shape[1]
+    n, d = len(obs.mask), w_last.shape[1]
     block = np.zeros((n, len(enc_params), d), dtype=w_last.dtype)
     hidden = []
     for i, (rows, x, params) in enumerate(zip(obs.rows, obs.blocks,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,10 +17,10 @@ class ModelError(ValueError):
 
 @dataclass
 class GraphView:
-    """Node-level operators for one graph: the row-normalised adjacency A,
-    its transpose (for the backward pass) and each node's mean incident
-    edge feature. A node with an empty neighbourhood has a zero row in A
-    and in the edge means, so it aggregates to zero."""
+    """Node-level operators for one graph: the row-normalised adjacency A
+    (its free transpose view ``A.T`` serves the backward) and each node's
+    mean incident edge feature. A node with an empty neighbourhood has a
+    zero row in A and in the edge means, so it aggregates to zero."""
 
     n_nodes: int
     mean_adj: object        # N x N sparse, rows sum to 1 (0 if isolated)
@@ -39,12 +38,6 @@ class GraphView:
         return cls(n_nodes=n, mean_adj=sp.csr_matrix(
             (inv[dst], (dst, src)), shape=(n, n), dtype=dtype),
             edge_mean=edge_mean)
-
-    @cached_property
-    def mean_adj_t(self):
-        """A's transpose, built by the first backward pass that needs it
-        (an evaluation never does)."""
-        return self.mean_adj.T.tocsr()
 
 
 def sage_layer(z, view, params, dropout=0.0, rng=None):
@@ -82,7 +75,7 @@ def sage_layer(z, view, params, dropout=0.0, rng=None):
         nm.accumulate(w_msg, np.vstack((az.T @ g_msg,
                                         view.edge_mean.T @ g_msg)))
         g_z = g @ w_root.data.T
-        g_z += view.mean_adj_t @ (g_msg @ w_msg.data[:d].T)
+        g_z += view.mean_adj.T @ (g_msg @ w_msg.data[:d].T)
         nm.accumulate(z, g_z)
 
     return nm.Tensor(out, parents=(z, w_root, w_msg, w_agg), backward=backward,
@@ -189,17 +182,17 @@ def init_model(feature_dims, n_classes, config, rng=None, values=None):
         decoder={w: p[f"dec.{w}"] for w in ("w1", "b1", "w2", "b2")})
 
 
-def forward(params, modalities, mask, view, config, rng=None, training=False):
-    """Full pipeline: encode, fuse, message-pass, decode. ``modalities`` is
-    what ``fusion.encode`` takes: the full matrices or their ObservedRows.
+def forward(params, obs, view, config, rng=None, training=False):
+    """Full pipeline on the ObservedRows ``obs``: encode, fuse under its
+    mask, message-pass, decode.
 
     Returns (logits tensor, N x M x K attention array (K = 1 for the
     equal-weight fusion), fused embedding tensor, final embedding tensor).
     """
     drop = config.dropout if training else 0.0
-    h = fu.encode(modalities, mask, params.encoders, drop, rng)
-    att, z = (fu.equal_weight_fuse(h, mask) if params.attention is None
-              else fu.fuse_multi_head(h, mask, params.attention))
+    h = fu.encode(obs, params.encoders, drop, rng)
+    att, z = (fu.equal_weight_fuse(h, obs.mask) if params.attention is None
+              else fu.fuse_multi_head(h, obs.mask, params.attention))
     z_out = z
     for layer_params in params.sage:
         z_out = sage_layer(z_out, view, layer_params, drop, rng)

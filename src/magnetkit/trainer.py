@@ -189,7 +189,7 @@ class TrainReport:
 class EvalInputs:
     """What evaluating on one dataset reads besides the weights: the
     dataset, its full-mode graph, that graph's GraphView in the run dtype
-    and the encoders' ObservedRows. A dataset is never written after it is
+    and its ObservedRows. A dataset is never written after it is
     made, so one record serves every evaluation on it."""
 
     dataset: dm.MultiomicsDataset
@@ -258,8 +258,8 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     started = time.perf_counter()
     for epoch in range(config.epochs):
         lr = learning_rate_at(config, epoch)
-        logits, _, z_fused, _ = gnn.forward(params, inputs, ds.mask, view,
-                                            config, rng=rng, training=True)
+        logits, _, z_fused, _ = gnn.forward(params, inputs, view, config,
+                                            rng=rng, training=True)
         ce = obj.ce_loss(logits, y_train, train_idx)
         kl = (obj.kl_alignment_loss(z_fused, target, train_idx)
               if config.lam > 0 else None)
@@ -318,8 +318,8 @@ def evaluate(trained, ds, split_assignment, split_name,
     kept = trained.eval_inputs
     if kept is None or kept.dataset is not ds:
         kept = _eval_inputs(ds, config)
-    logits, att, _, z_final = gnn.forward(trained.params, kept.rows, ds.mask,
-                                          kept.view, config, training=False)
+    logits, att, _, z_final = gnn.forward(trained.params, kept.rows, kept.view,
+                                          config, training=False)
     lg = logits.data[idx]
     shifted = lg - lg.max(axis=1, keepdims=True)
     probs = np.exp(shifted)

@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from magnetkit import datamodel as dm
-from magnetkit import fusion as fu
 from magnetkit import gnn
 from magnetkit import graph as pg
 from magnetkit import numerics as nm
@@ -319,16 +318,14 @@ def stack_modalities(hs):
     return reshape(concat_last_dim(hs), (n, len(hs), d))
 
 
-def chain_encode(modalities, mask, enc_params, rate=0.0, rng=None):
-    """Reference for `fusion.encode`: per modality matmul, bias, ReLU,
-    matmul, bias on the observed rows, scatter, dropout."""
-    obs = modalities
-    if not isinstance(obs, fu.ObservedRows):
-        obs = fu.ObservedRows.of(modalities, mask, enc_params[0][0].data.dtype)
+def chain_encode(obs, enc_params, rate=0.0, rng=None):
+    """Reference for `fusion.encode` on the ObservedRows ``obs``: per
+    modality matmul, bias, ReLU, matmul, bias on the observed rows,
+    scatter, dropout."""
     hs = []
     for rows, x, (w1, b1, w2, b2) in zip(obs.rows, obs.blocks, enc_params):
         h = relu(add(matmul(constant(x), w1), b1))
-        out = scatter_rows(add(matmul(h, w2), b2), rows, obs.n_patients)
+        out = scatter_rows(add(matmul(h, w2), b2), rows, len(obs.mask))
         hs.append(dropout(out, rate, rng))
     return stack_modalities(hs)
 
@@ -377,16 +374,15 @@ def chain_decode(z, dec):
     return add(matmul(h, dec["w2"]), dec["b2"])
 
 
-def chain_forward(params, modalities, mask, view, config, rng=None,
-                  training=False):
+def chain_forward(params, obs, view, config, rng=None, training=False):
     """Reference for `gnn.forward` from the chain oracles; returns (logits
     tensor, fused embedding tensor)."""
     rate = config.dropout if training else 0.0
-    h = chain_encode(modalities, mask, params.encoders, rate, rng)
+    h = chain_encode(obs, params.encoders, rate, rng)
     if params.attention is None:
-        z = chain_equal_weight_fuse(h, mask)
+        z = chain_equal_weight_fuse(h, obs.mask)
     else:
-        _, z = chain_fuse_multi_head(h, mask, params.attention)
+        _, z = chain_fuse_multi_head(h, obs.mask, params.attention)
     z_out = z
     for layer_params in params.sage:
         z_out = chain_sage_layer(z_out, view, layer_params, rate, rng)

@@ -96,11 +96,12 @@ def test_criterion_01_gradient_correctness():
     p_raw = np.where(valid, rng.uniform(size=(6, 6)), 0.0)
     p_mat = p_raw / p_raw.sum()
     start = params.graph.values()
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
 
     def build(values):
         cfg, p, _, _, _ = pipeline_fixture(seed=7)
         set_values(p.graph, values)
-        logits, _, z_fused, _ = gnn.forward(p, mods, mask, view, cfg)
+        logits, _, z_fused, _ = gnn.forward(p, obs, view, cfg)
         ce = ob.ce_loss(select_rows(logits, train_idx), labels)
         kl = ob.kl_alignment_loss(select_rows(z_fused, train_idx),
                                   alignment_target(p_mat, valid))
@@ -124,7 +125,8 @@ def test_criterion_01_gradient_correctness():
         return mul(t, t)
 
     x_enc = np.random.default_rng(12).normal(size=(4, 3))
-    mask_enc = np.array([[1], [0], [1], [1]])
+    obs_enc = fu.ObservedRows.of([x_enc], np.array([[1], [0], [1], [1]]),
+                                 np.float64)
     mask_att = np.array([[1, 1], [0, 1], [1, 0]])
     view_sage = gnn.GraphView.from_graph(gr.PatientGraph(
         n_nodes=4, edges=np.array([[0, 1], [1, 2]]),
@@ -161,7 +163,7 @@ def test_criterion_01_gradient_correctness():
          {"a": (3, 2)}),
         # the fused layer nodes, masked entries and an isolated node included
         (lambda t: sum_all(sq(fu.encode(
-            [x_enc], mask_enc, [tuple(t[k] for k in ("a", "b", "c", "d"))]))),
+            obs_enc, [tuple(t[k] for k in ("a", "b", "c", "d"))]))),
          {"a": (3, 4), "b": (4,), "c": (4, 2), "d": (2,)}),
         (lambda t: sum_all(sq(fu.fuse_multi_head(
             t["a"], mask_att, {"w_lin": t["b"], "w_att": [t["c"], t["d"]],
@@ -226,7 +228,9 @@ def test_criterion_03_missingness_independence():
 
         def quantities(mod_arrays):
             cfg, p, _, _, _ = pipeline_fixture(seed=trial)
-            logits, _, z_fused, _ = gnn.forward(p, mod_arrays, mask, view, cfg)
+            # gathered from the given (perturbed) matrices on every call
+            obs = fu.ObservedRows.of(mod_arrays, mask, cfg.dtype)
+            logits, _, z_fused, _ = gnn.forward(p, obs, view, cfg)
             ce = ob.ce_loss(select_rows(logits, train_idx), labels)
             kl = ob.kl_alignment_loss(select_rows(z_fused, train_idx),
                                       target)

@@ -32,7 +32,18 @@ def verdicts(metric, base, change):
     return tuple(row.split()[-2:])
 
 
+def resolved(metric, base, change):
+    """The report's ``resolved`` verdict for one metric row."""
+    runs = [(result(metric["name"], b), result(metric["name"], c))
+            for b, c in zip(base, change)]
+    header, row = bench_pairs.report([metric], runs)
+    assert header.split()[-3] == "resolved"
+    return row.split()[-3]
+
+
 BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+# interquartile range about 0.6 of the median, wider than every bound
+WIDE = [1.0, 1.8, 0.6, 1.4, 0.7, 1.9, 0.8, 1.5, 0.5, 1.2]
 
 
 def test_clear_gain_is_claimed():
@@ -45,6 +56,11 @@ def test_claim_needs_nine_wins_in_ten():
     assert verdicts(LOWER, BASE, nine) == ("yes", "no")
     eight = [b * 0.6 for b in BASE[:8]] + [b * 1.5 for b in BASE[8:]]
     assert verdicts(LOWER, BASE, eight) == ("no", "no")
+
+
+def test_claim_needs_ten_pairs():
+    assert verdicts(LOWER, BASE[:4], [b * 0.6 for b in BASE[:4]]) == (
+        "no", "no")
 
 
 def test_claim_needs_medians_apart_by_more_than_base_iqr():
@@ -63,3 +79,17 @@ def test_a_loss_in_the_better_direction_is_not_claimed():
 def test_regressed_when_worse_than_the_bound(metric, factor, regressed):
     assert verdicts(metric, BASE, [b * factor for b in BASE]) == (
         "no", regressed)
+
+
+def test_narrow_spread_is_resolved():
+    assert resolved(LOWER, BASE, [b * 1.1 for b in BASE]) == "yes"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    assert resolved(LOWER, WIDE, [w * 1.05 for w in WIDE]) == "no"
+    assert resolved(HIGHER, BASE, WIDE) == "no"
+
+
+def test_wide_spread_is_resolved_when_every_change_run_is_better():
+    assert resolved(LOWER, WIDE, [w * 0.2 for w in WIDE]) == "yes"
+    assert resolved(HIGHER, WIDE, [w + 2.0 for w in WIDE]) == "yes"

@@ -138,6 +138,23 @@ def test_eval_missing_params_is_config_error(tmp_path, bundle):
     assert code == cli.EXIT_CONFIG
 
 
+def test_train_topk_zero_is_config_error(tmp_path, bundle, config_file,
+                                         capsys):
+    code = run(["train", "--dataset", bundle, "--config", config_file,
+                "--topk", 0, "--out", tmp_path / "r"])
+    assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_directory_as_input_file_is_config_error(tmp_path, bundle):
+    code = run(["train", "--dataset", bundle, "--config", tmp_path,
+                "--out", tmp_path / "r"])
+    assert code == cli.EXIT_CONFIG
+    code = run(["eval", "--dataset", bundle, "--params", tmp_path,
+                "--out", tmp_path / "e"])
+    assert code == cli.EXIT_CONFIG
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("trained")

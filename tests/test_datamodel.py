@@ -102,6 +102,14 @@ def test_anova_selects_separating_feature():
     assert abs(col[y == 1].mean() - col[y == 0].mean()) > 0.9
 
 
+@pytest.mark.parametrize("topk", [-1, 0])
+def test_topk_below_one_is_rejected(topk):
+    ds = dm.gen_clusters(n=20, clusters=2, modalities=2, dims=(4, 4),
+                         seed=0)
+    with pytest.raises(dm.DataError, match="topk"):
+        dm.preprocess(ds, topk=topk)
+
+
 def test_constant_feature_maps_to_zero():
     x = np.column_stack([np.full(12, 7.0), np.arange(12.0)])
     ds = dm.MultiomicsDataset(modalities=[x], labels=np.arange(12) % 2,

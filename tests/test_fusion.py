@@ -25,14 +25,18 @@ def test_encode_zero_params_gives_zero():
     for w1, b1, w2, b2 in enc:
         w1.data[:] = 0
         w2.data[:] = 0
-    h = fu.encode([np.ones((6, 3)), np.ones((6, 4))], np.ones((6, 2)), enc)
+    obs = fu.ObservedRows.of([np.ones((6, 3)), np.ones((6, 4))],
+                             np.ones((6, 2)), np.float64)
+    h = fu.encode(obs, enc)
     assert np.all(h.data == 0.0)
 
 
 def test_encode_output_shapes():
     g = nm.ComputeGraph()
     enc = make_encoders(g, [3, 7], hidden=5, d=4)
-    h = fu.encode([np.ones((6, 3)), np.ones((6, 7))], np.ones((6, 2)), enc)
+    obs = fu.ObservedRows.of([np.ones((6, 3)), np.ones((6, 7))],
+                             np.ones((6, 2)), np.float64)
+    h = fu.encode(obs, enc)
     assert h.shape == (6, 2, 4)
 
 
@@ -41,15 +45,17 @@ def test_observed_rows_are_gathered_once_in_run_dtype():
     mods = [np.asfortranarray(rng.normal(size=(6, d))) for d in (3, 5)]
     mask = np.array([[1, 0], [1, 1], [0, 1], [1, 1], [1, 0], [0, 1]])
     obs = fu.ObservedRows.of(mods, mask, np.float32)
+    assert np.array_equal(obs.mask, mask)
     for i, (rows, block) in enumerate(zip(obs.rows, obs.blocks)):
         assert np.array_equal(rows, np.flatnonzero(mask[:, i]))
         assert block.dtype == np.float32 and block.flags.c_contiguous
         assert np.array_equal(block, mods[i][rows].astype(np.float32))
     g = nm.ComputeGraph(np.float32)
     enc = make_encoders(g, [3, 5], hidden=4, d=2)
-    packed = fu.encode(obs, mask, enc)
-    raw = fu.encode(mods, mask, enc)
-    assert np.array_equal(packed.data, raw.data)
+    h = fu.encode(obs, enc)
+    ref = dense_encode([x.astype(np.float32) for x in mods], mask, enc)
+    assert h.data.dtype == np.float32
+    assert np.allclose(h.data, ref.data, rtol=1e-5, atol=1e-6)
 
 
 def test_encode_gradient():
@@ -62,7 +68,8 @@ def test_encode_gradient():
                 add_parameter(g, "b1", values["b1"]),
                 add_parameter(g, "w2", values["w2"]),
                 add_parameter(g, "b2", values["b2"]))]
-        h = fu.encode([x], np.ones((4, 1)), enc)
+        h = fu.encode(fu.ObservedRows.of([x], np.ones((4, 1)), np.float64),
+                      enc)
         return sum_all(mul(h, h)), g
 
     values = {"w1": rng.normal(size=(3, 5)), "b1": rng.normal(size=5),
@@ -90,7 +97,8 @@ def test_encode_matches_dense_oracle(n, m, seed):
         _, z = fu.fuse_multi_head(hs, mask, params)
         return hs, z.data, g.backward(sum_all(mul(z, z)))
 
-    hs, z, grads = run(fu.encode)
+    hs, z, grads = run(lambda mods, mask, enc: fu.encode(
+        fu.ObservedRows.of(mods, mask, np.float64), enc))
     _, z_ref, grads_ref = run(dense_encode)
     assert np.allclose(z, z_ref, rtol=1e-10, atol=1e-12)
     for i in range(m):
@@ -306,7 +314,8 @@ def test_missingness_independence_of_fused_embedding():
         att_rng = np.random.default_rng(2)
         for w in params["w_att"]:
             w.data = att_rng.normal(size=w.data.shape)
-        hs = fu.encode([x0v, x1v], mask, enc)
+        # gathered from the perturbed matrices, so the gather is exercised
+        hs = fu.encode(fu.ObservedRows.of([x0v, x1v], mask, np.float64), enc)
         _, z = fu.fuse_multi_head(hs, mask, params)
         return z.data
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magnetkit import fusion as fu
 from magnetkit import gnn
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
@@ -181,7 +182,8 @@ def fixture_model(n=6, m=2, d=4, heads=2, layers=2, seed=0, **kw):
 
 def test_forward_shapes():
     config, params, mods, mask, view = fixture_model()
-    logits, att, z, z_final = gnn.forward(params, mods, mask, view, config)
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
+    logits, att, z, z_final = gnn.forward(params, obs, view, config)
     assert logits.shape == (6, 3)
     assert att.shape == (6, 2, 2)
     assert z.shape == (6, 4)
@@ -190,7 +192,8 @@ def test_forward_shapes():
 
 def test_decoder_only_equals_zero_layer_forward():
     config, params, mods, mask, view = fixture_model(layers=0)
-    logits, state, z, z_final = gnn.forward(params, mods, mask, view, config)
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
+    logits, state, z, z_final = gnn.forward(params, obs, view, config)
     direct = gnn.decode(z, params.decoder)
     assert np.array_equal(logits.data, direct.data)
     assert z_final is z
@@ -203,14 +206,15 @@ def test_f32_forward_returns_float32_logits():
     view = make_view([(0, 1), (1, 2), (3, 4)], [0.2, -0.4, 0.9], n=6,
                      dtype=config.dtype)
     logits, _, _, z_final = gnn.forward(
-        params, [x.astype(np.float32) for x in mods], mask, view, config)
+        params, fu.ObservedRows.of(mods, mask, np.float32), view, config)
     assert z_final.data.dtype == np.float32
     assert logits.data.dtype == np.float32
 
 
 def test_forward_missingness_independence_bitwise():
     config, params, mods, mask, view = fixture_model(seed=4)
-    base, *_ = gnn.forward(params, mods, mask, view, config)
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
+    base, *_ = gnn.forward(params, obs, view, config)
     pert = [x.copy() for x in mods]
     hit = False
     for j in range(mask.shape[0]):
@@ -219,7 +223,9 @@ def test_forward_missingness_independence_bitwise():
                 pert[i][j] += 1e6
                 hit = True
     assert hit
-    again, *_ = gnn.forward(params, pert, mask, view, config)
+    # gathered from the perturbed matrices, so the gather is exercised
+    obs_pert = fu.ObservedRows.of(pert, mask, config.dtype)
+    again, *_ = gnn.forward(params, obs_pert, view, config)
     assert np.array_equal(base.data, again.data)
 
 
@@ -227,7 +233,8 @@ def test_forward_permutation_equivariance():
     config, params, mods, mask, view = fixture_model(seed=5)
     n = 6
     perm = np.random.default_rng(6).permutation(n)
-    logits, *_ = gnn.forward(params, mods, mask, view, config)
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
+    logits, *_ = gnn.forward(params, obs, view, config)
 
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
     sims = np.linspace(-0.5, 0.9, len(edges))
@@ -235,7 +242,8 @@ def test_forward_permutation_equivariance():
     view_p = make_view(p_edges, sims, n=n)
     mods_p = [x[np.argsort(perm)] for x in mods]
     mask_p = mask[np.argsort(perm)]
-    logits_p, *_ = gnn.forward(params, mods_p, mask_p, view_p, config)
+    obs_p = fu.ObservedRows.of(mods_p, mask_p, config.dtype)
+    logits_p, *_ = gnn.forward(params, obs_p, view_p, config)
     assert np.allclose(logits_p.data[perm], logits.data, atol=1e-12)
 
 
@@ -245,11 +253,13 @@ def test_forward_locality_two_layers():
     config, params, mods, mask, view = fixture_model()
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
     path_view = make_view(edges, np.zeros(4), n=6)
-    base, *_ = gnn.forward(params, mods, mask, path_view, config)
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
+    base, *_ = gnn.forward(params, obs, path_view, config)
     pert = [x.copy() for x in mods]
     for x in pert:
         x[4] += 3.0
-    again, *_ = gnn.forward(params, pert, mask, path_view, config)
+    obs_pert = fu.ObservedRows.of(pert, mask, config.dtype)
+    again, *_ = gnn.forward(params, obs_pert, path_view, config)
     assert np.array_equal(base.data[0], again.data[0])
     assert not np.array_equal(base.data[3], again.data[3])
 
@@ -257,7 +267,8 @@ def test_forward_locality_two_layers():
 def test_no_pmmha_uses_equal_weight_fusion():
     config, params, mods, mask, view = fixture_model(no_pmmha=True)
     assert params.attention is None
-    logits, att, *_ = gnn.forward(params, mods, mask, view, config)
+    logits, att, *_ = gnn.forward(
+        params, fu.ObservedRows.of(mods, mask, config.dtype), view, config)
     # one head of fixed weights: the mask over each patient's modality count
     assert np.array_equal(att[:, :, 0], mask / mask.sum(axis=1, keepdims=True))
     assert logits.shape == (6, 3)
@@ -266,12 +277,14 @@ def test_no_pmmha_uses_equal_weight_fusion():
 def test_no_gnn_skips_message_passing():
     config, params, mods, mask, view = fixture_model(layers=0)
     assert params.sage == []
-    logits, state, z, z_final = gnn.forward(params, mods, mask, view, config)
+    logits, state, z, z_final = gnn.forward(
+        params, fu.ObservedRows.of(mods, mask, config.dtype), view, config)
     assert z_final is z
 
 
 def test_full_pipeline_gradient_check():
     config, params, mods, mask, view = fixture_model(seed=7)
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
     labels = np.array([0, 1, 2, 0, 1, 2])
     names = list(params.graph.params)
     start = params.graph.values()
@@ -279,7 +292,7 @@ def test_full_pipeline_gradient_check():
     def build(values):
         cfg, p, _, _, _ = fixture_model(seed=7)
         set_values(p.graph, values)
-        logits, *_ = gnn.forward(p, mods, mask, view, cfg)
+        logits, *_ = gnn.forward(p, obs, view, cfg)
         return ob.ce_loss(logits, labels), p.graph
 
     err = grad_check(build, start)
@@ -289,10 +302,11 @@ def test_full_pipeline_gradient_check():
 def test_dropout_only_in_training_mode():
     config, params, mods, mask, view = fixture_model()
     config.dropout = 0.5
-    a, *_ = gnn.forward(params, mods, mask, view, config, training=False)
-    b, *_ = gnn.forward(params, mods, mask, view, config, training=False)
+    obs = fu.ObservedRows.of(mods, mask, config.dtype)
+    a, *_ = gnn.forward(params, obs, view, config, training=False)
+    b, *_ = gnn.forward(params, obs, view, config, training=False)
     assert np.array_equal(a.data, b.data)
     rng = np.random.default_rng(0)
-    c, *_ = gnn.forward(params, mods, mask, view, config,
+    c, *_ = gnn.forward(params, obs, view, config,
                         rng=np.random.default_rng(1), training=True)
     assert not np.array_equal(a.data, c.data)
