@@ -14,8 +14,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import datamodel as dm
-from . import fusion as fu
 from . import gnn
 from . import graph as pg
 from . import params_io
@@ -82,47 +83,56 @@ def _jobs(args):
 
 
 def cmd_gen(args):
+    if args.scenario == "none" and args.ratio != 0.0:
+        raise dm.DataError("--ratio needs a --scenario")
     os.makedirs(args.out, exist_ok=True)
+    m = args.modalities
     if args.preset == "intersim-like":
         ds = dm.gen_clusters(n=args.n, clusters=args.clusters,
-                             modalities=args.modalities or 3, seed=args.seed)
+                             modalities=3 if m is None else m, seed=args.seed)
     elif args.preset == "scalability":
-        ds = dm.gen_scalability(n=args.n, modalities=args.modalities or 2,
+        ds = dm.gen_scalability(n=args.n, modalities=2 if m is None else m,
                                 seed=args.seed)
     else:
         raise dm.DataError(f"unknown preset {args.preset!r}")
     spec_dict = None
-    if args.scenario and args.scenario != "none":
+    if args.scenario != "none":
         spec = dm.ScenarioSpec(kind=args.scenario, ratio=args.ratio,
                                intact_modality=args.intact_modality,
                                seed=args.seed)
         ds = dm.apply_scenario(ds, spec)
         spec_dict = spec.to_dict()
-    paths, label_path = dm.save_csv(
-        ds, args.out, manifest_extra={"seed": args.seed, "preset": args.preset,
-                                      "scenario": spec_dict})
-    print(f"wrote {len(paths)} modality files to {args.out}")
+    dm.save_csv(ds, args.out, manifest_extra={
+        "seed": args.seed, "preset": args.preset, "scenario": spec_dict})
+    print(f"wrote {ds.n_modalities} modality files to {args.out}")
     return EXIT_OK
 
 
-# Embedding rows formatted per write of `_write_embeddings_csv`.
-EMBEDDING_ROWS_PER_WRITE = 1024
+def _write_attention_csv(path, att, patient_ids, modality_names):
+    """Write the N x M x K attention array as (patient_id, head, modality,
+    weight) rows, head by head; a missing modality has weight 0."""
+    n, m, k = att.shape
+    dm.write_table(path, "patient_id,head,modality,weight\n",
+                   "%s,%d,%s,%.6f\n",
+                   [np.tile(np.repeat(dm.quote(patient_ids), m), k),
+                    np.repeat(np.arange(k), n * m),
+                    np.tile(dm.quote(modality_names), n * k),
+                    np.moveaxis(att, 2, 0).ravel()])
 
 
 def _write_embeddings_csv(path, patient_ids, emb):
-    """Write (patient_id, z_1, ..., z_d) rows, ``EMBEDDING_ROWS_PER_WRITE``
-    patients per write, each block formatted by one ``%`` over its fields
-    in row order."""
+    """Write (patient_id, z_1, ..., z_d) rows."""
     d = emb.shape[1]
-    line = "%s" + ",%.8g" * d + "\n"
-    with open(path, "w") as fh:
-        fh.write("patient_id," + ",".join(f"z_{i+1}" for i in range(d)) + "\n")
-        for lo in range(0, len(emb), EMBEDDING_ROWS_PER_WRITE):
-            part = slice(lo, lo + EMBEDDING_ROWS_PER_WRITE)
-            rows = emb[part].tolist()
-            fields = [v for pid, row in zip(patient_ids[part], rows)
-                      for v in (pid, *row)]
-            fh.write(line * len(rows) % tuple(fields))
+    header = ["patient_id"] + [f"z_{i+1}" for i in range(d)]
+    dm.write_table(path, ",".join(header) + "\n", "%s" + ",%.8g" * d + "\n",
+                   [dm.quote(patient_ids), *emb.T])
+
+
+def _write_edges_csv(path, g):
+    """Write (u, v, similarity, tag) rows, one per edge of ``g``."""
+    dm.write_table(path, "u,v,similarity,tag\n", "%d,%d,%.6f,%s\n",
+                   [*g.edges.T, g.similarities,
+                    np.where(g.reconnection, "reconnection", "shared")])
 
 
 def cmd_train(args):
@@ -147,8 +157,8 @@ def cmd_train(args):
                ["epoch", "ce", "kl", "total", "lr"])
     result = tr.evaluate(trained, prepped, assignment, dm.TEST)
     att_path = os.path.join(args.out, "attention.csv")
-    fu.write_attention_csv(result["attention"], att_path,
-                           prepped.patient_ids, prepped.modality_names)
+    _write_attention_csv(att_path, result["attention"], prepped.patient_ids,
+                         prepped.modality_names)
     emb_path = os.path.join(args.out, "Z_final.csv")
     _write_embeddings_csv(emb_path, prepped.patient_ids, result["embeddings"])
     report_path = os.path.join(args.out, "report.json")
@@ -246,15 +256,17 @@ def cmd_sweep(args):
     levels = [float(x) for x in args.levels.split(",")]
     if args.repeats < 1:
         raise tr.ConfigError("--repeats must be positive")
-    tasks = [(args.dataset, args.scenario, args.intact_modality, level, rep,
-              config.to_dict())
-             for level in levels for rep in range(args.repeats)]
     jobs = _jobs(args)
     if jobs > 1:
+        tasks = [(args.dataset, args.scenario, args.intact_modality, level,
+                  rep, config.to_dict())
+                 for level in levels for rep in range(args.repeats)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
-        rows = [_sweep_task(t) for t in tasks]
+        rows = tr.run_scenario_sweep(dm.load_bundle(args.dataset),
+                                     args.scenario, levels, args.repeats,
+                                     config, args.intact_modality)
     cols = sorted({k for r in rows for k in r},
                   key=lambda c: (c not in ("level", "repeat"), c))
     curve_path = os.path.join(args.out, "sweep.csv")
@@ -306,7 +318,7 @@ def cmd_graph_stats(args):
     with open(stats_path, "w") as fh:
         json.dump(stats, fh, indent=2)
     edges_path = os.path.join(args.out, "edges.csv")
-    pg.export_edges_csv(g, edges_path)
+    _write_edges_csv(edges_path, g)
     _write_manifest(args.out, config.to_dict(), config.seed,
                     [stats_path, edges_path])
     print(json.dumps(stats, indent=2))

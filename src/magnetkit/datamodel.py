@@ -185,26 +185,50 @@ def _read_csv(path):
     return (rows[0], rows[1:]) if rows else (None, [])
 
 
+# Fields formatted per write of `write_table`, whatever the table's width.
+FIELDS_PER_WRITE = 1 << 16
+
+
+def write_table(path, header, line, columns):
+    """Write the ``header`` line, then ``line % row`` for each row of
+    ``columns`` (equal-length 1-d arrays, one per field of ``line``), in
+    blocks of about ``FIELDS_PER_WRITE`` fields, each formatted by one
+    ``%`` over its fields in row order."""
+    width = len(columns)
+    step = max(1, FIELDS_PER_WRITE // width)
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for lo in range(0, len(columns[0]), step):
+            parts = [c[lo:lo + step].tolist() for c in columns]
+            fields = [None] * (width * len(parts[0]))
+            for k, part in enumerate(parts):
+                fields[k::width] = part
+            fh.write(line * len(parts[0]) % tuple(fields))
+
+
+def quote(texts):
+    """``texts`` quoted as ``csv.writer`` quotes fields (``QUOTE_MINIMAL``),
+    in an object array."""
+    return np.array(['"%s"' % t.replace('"', '""')
+                     if any(c in t for c in ',"\r\n') else t
+                     for t in map(str, texts)], dtype=object)
+
+
 def save_csv(ds, out_dir, manifest_extra=None):
-    """Write a dataset bundle: one CSV per modality, labels, and a manifest."""
+    """Write a dataset bundle: one CSV per modality, labels, and a manifest.
+    The CSVs hold the bytes ``csv.writer`` writes for the patient id and
+    the ``repr`` of each feature, or the patient id and its label."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for i, name in enumerate(ds.modality_names):
-        path = os.path.join(out_dir, f"{name}.csv")
-        paths.append(path)
-        d = ds.modalities[i].shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["patient_id"] + [f"f{k}" for k in range(d)])
-            for j, pid in enumerate(ds.patient_ids):
-                if ds.mask[j, i]:
-                    writer.writerow([pid] + [repr(float(v)) for v in ds.modalities[i][j]])
-    label_path = os.path.join(out_dir, "labels.csv")
-    with open(label_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "label"])
-        for pid, lab in zip(ds.patient_ids, ds.labels):
-            writer.writerow([pid, int(lab)])
+    ids = quote(ds.patient_ids)
+    for name, x, present in zip(ds.modality_names, ds.modalities, ds.mask.T):
+        rows = np.flatnonzero(present)
+        x = np.asarray(x[rows], dtype=np.float64)
+        header = ["patient_id"] + [f"f{k}" for k in range(x.shape[1])]
+        write_table(os.path.join(out_dir, f"{name}.csv"),
+                    ",".join(header) + "\r\n",
+                    "%s" + ",%r" * x.shape[1] + "\r\n", [ids[rows], *x.T])
+    write_table(os.path.join(out_dir, "labels.csv"), "patient_id,label\r\n",
+                "%s,%d\r\n", [ids, ds.labels])
     manifest = {
         "modality_names": ds.modality_names,
         "dims": [int(x.shape[1]) for x in ds.modalities],
@@ -215,7 +239,6 @@ def save_csv(ds, out_dir, manifest_extra=None):
         manifest.update(manifest_extra)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-    return paths, label_path
 
 
 def load_bundle(bundle_dir):
@@ -332,6 +355,8 @@ def gen_clusters(n=500, clusters=15, modalities=3, dims=(100, 100, 60),
     """
     if clusters > n:
         raise DataError("more clusters than samples")
+    if modalities < 1:
+        raise DataError("modalities must be at least 1")
     if len(dims) != modalities:
         dims = tuple(dims[i % len(dims)] for i in range(modalities))
     rng = np.random.default_rng(seed)

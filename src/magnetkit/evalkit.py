@@ -32,26 +32,20 @@ def classification_metrics(y_true, y_pred, n_classes):
        np.any((y_pred < 0) | (y_pred >= n_classes)):
         raise MetricError("label out of range")
     cm = confusion_matrix(y_true, y_pred, n_classes)
-    n = cm.sum()
-    accuracy = float(np.trace(cm)) / n
-
-    support = cm.sum(axis=1)
-    denom = support + cm.sum(axis=0)  # 2 tp + fn + fp
+    n = len(y_true)
+    support = cm.sum(axis=1)  # true-class counts
+    predicted = cm.sum(axis=0)
+    denom = support + predicted  # 2 tp + fn + fp
     f1 = np.divide(2.0 * np.diag(cm), denom, out=np.zeros(n_classes),
                    where=denom > 0)
-    macro_f1 = float(f1.mean())
-    weighted_f1 = float((f1 * support).sum() / n) if n else 0.0
 
     # integer arithmetic until the final sqrt so the perfect case is exactly 1
-    t = [int(v) for v in cm.sum(axis=1)]  # true-class counts
-    p = [int(v) for v in cm.sum(axis=0)]  # predicted-class counts
-    n_i = int(n)
-    num = int(np.trace(cm)) * n_i - sum(a * b for a, b in zip(t, p))
-    den_sq = (n_i * n_i - sum(v * v for v in p)) * \
-             (n_i * n_i - sum(v * v for v in t))
+    hits, t, p = int(np.trace(cm)), support.tolist(), predicted.tolist()
+    num = hits * n - sum(a * b for a, b in zip(t, p))
+    den_sq = (n * n - sum(v * v for v in p)) * (n * n - sum(v * v for v in t))
     mcc = num / np.sqrt(den_sq) if den_sq > 0 else 0.0
-    return {"accuracy": accuracy, "macro_f1": macro_f1,
-            "weighted_f1": weighted_f1, "mcc": float(mcc)}
+    return {"accuracy": hits / n, "macro_f1": float(f1.mean()),
+            "weighted_f1": float((f1 * support).sum() / n), "mcc": float(mcc)}
 
 
 def ranking_metrics(y_true, scores):
@@ -77,11 +71,8 @@ def ranking_metrics(y_true, scores):
     tp, fp = tp[boundary], fp[boundary]
     precision = tp / (tp + fp)
     recall = tp / n_pos
-    auprc = 0.0
-    prev_recall = 0.0
-    for r, p in zip(recall, precision):
-        auprc += (r - prev_recall) * p
-        prev_recall = r
+    # cumsum adds left to right, as a running sum over the steps would
+    auprc = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
     return {"auroc": float(auroc), "auprc": float(auprc)}
 
 

@@ -131,14 +131,3 @@ def _check_mask(mask, n_modalities):
         raise FusionError("mask shape does not match modality count")
     if np.any(mask.sum(axis=1) < 1):
         raise FusionError("patient with all modalities missing")
-
-
-def write_attention_csv(att, path, patient_ids, modality_names):
-    """Write the N x M x K attention array as (patient_id, head, modality,
-    weight) rows, head by head; a missing modality has weight 0."""
-    with open(path, "w") as fh:
-        fh.write("patient_id,head,modality,weight\n")
-        for k, head in enumerate(np.moveaxis(att, 2, 0).tolist()):
-            for pid, weights in zip(patient_ids, head):
-                for mod, w in zip(modality_names, weights):
-                    fh.write(f"{pid},{k},{mod},{w:.6f}\n")

@@ -198,24 +198,3 @@ def degree_stats(g):
         "mean": float(deg.mean()) if len(deg) else 0.0,
         "max": int(deg.max()) if len(deg) else 0,
     }
-
-
-# Edges formatted per write of `export_edges_csv`.
-EXPORT_BLOCK = 1 << 16
-
-
-def export_edges_csv(g, path):
-    """Write (u, v, similarity, tag) rows, ``EXPORT_BLOCK`` edges per write,
-    each block formatted by one ``%`` over its fields in row order."""
-    with open(path, "w") as fh:
-        fh.write("u,v,similarity,tag\n")
-        for lo in range(0, len(g.edges), EXPORT_BLOCK):
-            part = slice(lo, lo + EXPORT_BLOCK)
-            edges = g.edges[part]
-            fields = [None] * (4 * len(edges))
-            fields[0::4] = edges[:, 0].tolist()
-            fields[1::4] = edges[:, 1].tolist()
-            fields[2::4] = g.similarities[part].tolist()
-            fields[3::4] = np.where(g.reconnection[part], "reconnection",
-                                    "shared").tolist()
-            fh.write("%d,%d,%.6f,%s\n" * len(edges) % tuple(fields))

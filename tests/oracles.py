@@ -6,13 +6,15 @@ oracles of the fused layer nodes, the dense modality encoder, the
 single-component parameter builders the unit tests start from, the
 finite-difference gradient oracle, copy-based preprocessing and
 masking that the in-place versions in `magnetkit.datamodel` must match
-bitwise, loop versions of the confusion matrix and midranks that
-`magnetkit.evalkit` must match exactly, per-row CSV writers that the
-block writers of the edge and embedding files must match byte for
-byte, and the lexsort edge check that `graph.PatientGraph`'s key check
-must agree with."""
+bitwise, loop versions of the confusion matrix, midranks and the AUPRC
+that `magnetkit.evalkit` must match exactly, per-row CSV writers that
+the block writer of the bundle, edge, embedding and attention files
+must match byte for byte, and the lexsort edge check that
+`graph.PatientGraph`'s key check must agree with."""
 
+import csv
 import math
+import os
 
 import numpy as np
 
@@ -610,8 +612,44 @@ def midranks(x):
     return ranks
 
 
+def auprc(y_true, scores):
+    """``evalkit.ranking_metrics``'s AUPRC as a running sum over the
+    distinct thresholds, highest score first, with ties in index order."""
+    order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
+    n_pos = sum(1 for y in y_true if y == 1)
+    total = prev_recall = 0.0
+    tp = fp = 0
+    for at, j in enumerate(order):
+        tp += y_true[j] == 1
+        fp += y_true[j] == 0
+        if at + 1 == len(order) or scores[order[at + 1]] != scores[j]:
+            recall = tp / n_pos
+            total += (recall - prev_recall) * (tp / (tp + fp))
+            prev_recall = recall
+    return total
+
+
+def save_csv(ds, out_dir):
+    """The CSV files of ``datamodel.save_csv``, one ``csv.writer`` row per
+    patient."""
+    for i, name in enumerate(ds.modality_names):
+        d = ds.modalities[i].shape[1]
+        with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["patient_id"] + [f"f{k}" for k in range(d)])
+            for j, pid in enumerate(ds.patient_ids):
+                if ds.mask[j, i]:
+                    writer.writerow([pid] + [repr(float(v))
+                                             for v in ds.modalities[i][j]])
+    with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "label"])
+        for pid, lab in zip(ds.patient_ids, ds.labels):
+            writer.writerow([pid, int(lab)])
+
+
 def export_edges_csv(g, path):
-    """``graph.export_edges_csv`` as one write per edge."""
+    """``cli._write_edges_csv`` as one write per edge."""
     with open(path, "w") as fh:
         fh.write("u,v,similarity,tag\n")
         for (u, v), s, r in zip(g.edges, g.similarities, g.reconnection):
@@ -620,12 +658,26 @@ def export_edges_csv(g, path):
 
 
 def write_embeddings_csv(path, patient_ids, emb):
-    """``cli._write_embeddings_csv`` as one write per patient."""
-    with open(path, "w") as fh:
-        fh.write("patient_id," + ",".join(
-            f"z_{i+1}" for i in range(emb.shape[1])) + "\n")
+    """``cli._write_embeddings_csv`` as one ``csv.writer`` row per
+    patient."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["patient_id"] + [f"z_{i+1}"
+                                          for i in range(emb.shape[1])])
         for pid, row in zip(patient_ids, emb):
-            fh.write(pid + "," + ",".join(f"{v:.8g}" for v in row) + "\n")
+            writer.writerow([pid] + [f"{v:.8g}" for v in row])
+
+
+def write_attention_csv(path, att, patient_ids, modality_names):
+    """``cli._write_attention_csv`` as one ``csv.writer`` row per
+    (head, patient, modality)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["patient_id", "head", "modality", "weight"])
+        for k in range(att.shape[2]):
+            for pid, weights in zip(patient_ids, att[:, :, k]):
+                for mod, w in zip(modality_names, weights):
+                    writer.writerow([pid, k, mod, f"{w:.6f}"])
 
 
 def check_edges(edges):

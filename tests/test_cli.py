@@ -103,6 +103,40 @@ def test_gen_with_scenario(tmp_path):
     assert 0 < (ds.mask == 0).sum()
 
 
+@pytest.mark.parametrize("preset", ["intersim-like", "scalability"])
+@pytest.mark.parametrize("modalities", [0, -1])
+def test_gen_modalities_below_one_is_config_error(tmp_path, capsys, preset,
+                                                  modalities):
+    code = run(["gen", "--preset", preset, "--n", 40, "--clusters", 2,
+                "--modalities", modalities, "--out", tmp_path / "g"])
+    assert code == cli.EXIT_CONFIG
+    assert "modalities must be" in capsys.readouterr().err
+
+
+def test_gen_ratio_without_scenario_is_config_error(tmp_path, capsys):
+    code = run(["gen", "--n", 40, "--clusters", 2, "--ratio", 0.5,
+                "--out", tmp_path / "g"])
+    assert code == cli.EXIT_CONFIG
+    assert "--ratio needs a --scenario" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_quoted_ids_keep_output_rows_whole(tmp_path, config_file):
+    ds = dm.gen_clusters(n=60, clusters=2, dims=(6, 6, 6), cluster_sep=3.0,
+                         noise_sd=0.3, seed=0)
+    ids = [f"p{j:05d}" for j in range(ds.n_patients)]
+    ids[3], ids[7] = "p,3", 'p"q'
+    dm.save_csv(dataclasses.replace(ds, patient_ids=ids), tmp_path / "data")
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", tmp_path / "data", "--config",
+                config_file, "--out", out]) == cli.EXIT_OK
+    for name, width in (("Z_final.csv", 1 + FAST_CONFIG["embed_dim"]),
+                        ("attention.csv", 4)):
+        rows = csv_rows(out / name)
+        assert {len(r) for r in rows} == {width}, name
+        assert {r[0] for r in rows[1:]} == set(ids), name
+
+
 def test_train_then_eval_pipeline(tmp_path, bundle, config_file):
     out = tmp_path / "run"
     code = run(["train", "--dataset", bundle, "--config", config_file,
@@ -521,11 +555,20 @@ def src_env():
 def test_scripts_print_help():
     env = src_env()
     scripts = sorted((ROOT / "scripts").glob("*.py"))
-    assert len(scripts) == 5
+    assert len(scripts) == 3
     for script in scripts:
         done = subprocess.run([sys.executable, str(script), "--help"], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (script.name, done.stderr)
+
+
+@pytest.mark.parametrize("study", ["ablation", "missingness", "scalability"])
+def test_reproduce_study_prints_help(study):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce.py"),
+                           study, "--help"], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "--epochs" in done.stdout and "--seed" in done.stdout
 
 
 def test_module_entry_point_prints_help():
@@ -538,15 +581,17 @@ def test_module_entry_point_prints_help():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rows_per_write", [cli.EMBEDDING_ROWS_PER_WRITE, 4, 1])
+@pytest.mark.parametrize("fields", [dm.FIELDS_PER_WRITE, 16, 1])
 def test_embedding_csv_bytes_match_per_row_writer(tmp_path, monkeypatch,
-                                                  dtype, rows_per_write):
+                                                  dtype, fields):
+    # 16 fields are 2 rows of 7: the last of the 11 rows is a short block
     rng = np.random.default_rng(5)
     emb = (rng.normal(size=(11, 6)) * 10.0 ** rng.integers(-9, 9, size=(11, 6))
            ).astype(dtype)
     emb[0, :3] = [0.0, -0.0, 1.0]
     ids = [f"p{j:05d}" for j in range(len(emb))]
-    monkeypatch.setattr(cli, "EMBEDDING_ROWS_PER_WRITE", rows_per_write)
+    ids[1:3] = ["p,3", 'p"q']
+    monkeypatch.setattr(dm, "FIELDS_PER_WRITE", fields)
     cli._write_embeddings_csv(tmp_path / "blocks.csv", ids, emb)
     write_embeddings_csv(tmp_path / "rows.csv", ids, emb)
     assert (tmp_path / "blocks.csv").read_bytes() == \
@@ -599,6 +644,18 @@ def test_sweep_parallel_matches_serial(tmp_path, bundle, config_file):
     assert run(argv + ["--out", serial]) == cli.EXIT_OK
     assert run(argv + ["--out", par, "--jobs", 2]) == cli.EXIT_OK
     assert (serial / "sweep.csv").read_text() == (par / "sweep.csv").read_text()
+
+
+def test_serial_sweep_loads_the_bundle_once(tmp_path, bundle, config_file,
+                                            monkeypatch):
+    loads = []
+    load = dm.load_bundle
+    monkeypatch.setattr(dm, "load_bundle",
+                        lambda path: loads.append(path) or load(path))
+    assert run(["sweep", "--dataset", bundle, "--config", config_file,
+                "--scenario", "random_mask", "--levels", "0,0.4",
+                "--repeats", 2, "--out", tmp_path / "s"]) == cli.EXIT_OK
+    assert len(loads) == 1
 
 
 def test_sweep_rows_match_scenario_sweep(tmp_path, bundle, config_file):

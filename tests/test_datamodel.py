@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from magnetkit import datamodel as dm
 from magnetkit import evalkit
-from oracles import reference_apply_scenario, reference_preprocess
+from oracles import reference_apply_scenario, reference_preprocess, save_csv
 
 
 def write_csv(path, header, rows):
@@ -62,6 +63,47 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     for i in range(3):
         assert np.allclose(back.modalities[i], ds.modalities[i])
+
+
+def tricky_bundle():
+    """A masked dataset whose ids need quoting and whose features hold a
+    NaN, a signed zero and extreme magnitudes."""
+    ds = dm.gen_clusters(n=40, clusters=4, dims=(5, 6, 7), seed=1)
+    ds = dm.apply_scenario(ds, dm.ScenarioSpec(kind="random_mask", ratio=0.3,
+                                               seed=2))
+    ids = [f"p{j:05d}" for j in range(ds.n_patients)]
+    ids[3], ids[7], ids[8] = "p,3", 'p"q', "p\nr"
+    x = ds.modalities[0].copy()
+    row = np.flatnonzero(ds.mask[:, 0])[0]
+    x[row, :4] = [np.nan, -0.0, 1e-300, -1.5e300]
+    return dataclasses.replace(ds, patient_ids=ids,
+                               modalities=[x, *ds.modalities[1:]])
+
+
+@pytest.mark.parametrize("fields", [dm.FIELDS_PER_WRITE, 18, 1])
+def test_bundle_bytes_match_per_row_writer(tmp_path, monkeypatch, fields):
+    # 18 fields are 3 rows of a 6-field modality and 9 label rows
+    ds = tricky_bundle()
+    monkeypatch.setattr(dm, "FIELDS_PER_WRITE", fields)
+    dm.save_csv(ds, tmp_path / "blocks")
+    (tmp_path / "rows").mkdir()
+    save_csv(ds, tmp_path / "rows")
+    for name in [*ds.modality_names, "labels"]:
+        assert (tmp_path / "blocks" / f"{name}.csv").read_bytes() == \
+            (tmp_path / "rows" / f"{name}.csv").read_bytes()
+
+
+def test_quoted_ids_roundtrip(tmp_path):
+    ds = tricky_bundle()
+    dm.save_csv(ds, tmp_path / "bundle")
+    back = dm.load_bundle(tmp_path / "bundle")
+    assert sorted(back.patient_ids) == back.patient_ids == sorted(ds.patient_ids)
+    row = {pid: j for j, pid in enumerate(ds.patient_ids)}
+    order = [row[pid] for pid in back.patient_ids]
+    assert np.array_equal(back.mask, ds.mask[order])
+    assert np.array_equal(back.labels, ds.labels[order])
+    for got, want in zip(back.modalities, ds.modalities):
+        assert np.array_equal(got, want[order], equal_nan=True)
 
 
 def test_minmax_scaling():

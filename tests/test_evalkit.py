@@ -163,6 +163,26 @@ def test_auroc_midranks_match_loop_oracle(scores, data):
     assert ek.ranking_metrics(y, scores)["auroc"] == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TIED_SCORES | st.floats(allow_nan=False), min_size=2,
+                max_size=40), st.data())
+def test_auprc_matches_running_sum_oracle(scores, data):
+    # the vectorised sum adds in the loop's order, so the two are equal
+    n = len(scores)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                    max_size=n)))
+    y[data.draw(st.permutations(range(n)))[:2]] = [0, 1]
+    got = ek.ranking_metrics(y, scores)["auprc"]
+    assert type(got) is float and got == oracles.auprc(y.tolist(), scores)
+
+
+def test_classification_metrics_are_plain_floats():
+    m = ek.classification_metrics(np.array([0, 1, 1, 2]),
+                                  np.array([0, 1, 2, 2]), 3)
+    assert {k: type(v) for k, v in m.items()} == dict.fromkeys(m, float)
+    assert m["accuracy"] == 0.75
+
+
 def test_binary_mcc_matches_textbook_formula():
     rng = np.random.default_rng(1)
     y = rng.integers(0, 2, size=30)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magnetkit import cli
+from magnetkit import datamodel as dm
 from magnetkit import fusion as fu
 from magnetkit import numerics as nm
 from magnetkit.trainer import ConfigError, RunConfig
 from oracles import (add_parameter, constant, dense_encode, grad_check,
-                     init_attention_params, init_encoder_params, mul, sum_all)
+                     init_attention_params, init_encoder_params, mul, sum_all,
+                     write_attention_csv)
 
 
 def make_encoders(graph, dims, hidden, d, seed=0):
@@ -340,8 +343,8 @@ def test_parameter_count_linear_in_modalities():
 
 def test_export_attention_rows(tmp_path):
     path = tmp_path / "att.csv"
-    fu.write_attention_csv(np.full((3, 3, 2), 1 / 3), path, ["p0", "p1", "p2"],
-                           ["a", "b", "c"])
+    cli._write_attention_csv(path, np.full((3, 3, 2), 1 / 3),
+                             ["p0", "p1", "p2"], ["a", "b", "c"])
     rows = [line.split(",") for line in path.read_text().split()[1:]]
     assert len(rows) == 18
     per_key = {}
@@ -354,8 +357,25 @@ def test_export_attention_rows(tmp_path):
 
 def test_export_attention_csv_format(tmp_path):
     path = tmp_path / "att.csv"
-    fu.write_attention_csv(np.array([[[0.25], [0.75]]]), path, ["pA"],
-                           ["dna", "rna"])
+    cli._write_attention_csv(path, np.array([[[0.25], [0.75]]]), ["pA"],
+                             ["dna", "rna"])
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "patient_id,head,modality,weight"
     assert lines[1] == "pA,0,dna,0.250000"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fields", [dm.FIELDS_PER_WRITE, 12, 1])
+def test_attention_csv_bytes_match_per_row_writer(tmp_path, monkeypatch,
+                                                  dtype, fields):
+    rng = np.random.default_rng(6)
+    att = rng.dirichlet(np.ones(3), size=(7, 2)).transpose(0, 2, 1)
+    att[0, 1] = 0.0  # a missing modality
+    att = att.astype(dtype)
+    ids = ["p0", "p,3", 'p"q', "p 4", "p5", "p6", "p7"]
+    names = ["dna", "rna,seq", "cnv"]
+    monkeypatch.setattr(dm, "FIELDS_PER_WRITE", fields)
+    cli._write_attention_csv(tmp_path / "blocks.csv", att, ids, names)
+    write_attention_csv(tmp_path / "rows.csv", att, ids, names)
+    assert (tmp_path / "blocks.csv").read_bytes() == \
+        (tmp_path / "rows.csv").read_bytes()

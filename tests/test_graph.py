@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from magnetkit import cli
 from magnetkit import datamodel as dm
 from magnetkit import graph as gr
 from oracles import check_edges, export_edges_csv
@@ -393,22 +394,23 @@ def test_degree_stats_and_export(tmp_path):
     assert stats["min"] == 1 and stats["max"] == 2
     assert stats["mean"] == pytest.approx(4 / 3)
     path = tmp_path / "edges.csv"
-    gr.export_edges_csv(g, path)
+    cli._write_edges_csv(path, g)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "u,v,similarity,tag"
     assert lines[1] == "0,1,0.500000,shared"
     assert lines[2] == "0,2,0.250000,reconnection"
 
 
-@pytest.mark.parametrize("block", [gr.EXPORT_BLOCK, 8, 1])
-def test_edge_export_bytes_match_per_edge_writer(tmp_path, monkeypatch, block):
+@pytest.mark.parametrize("fields", [dm.FIELDS_PER_WRITE, 8, 1])
+def test_edge_export_bytes_match_per_edge_writer(tmp_path, monkeypatch,
+                                                 fields):
     ds = dm.preprocess(dm.gen_clusters(n=80, clusters=3, dims=(6, 5, 4),
                                        seed=4))
     g = gr.build_graph(ds, gr.pairwise_similarity(ds), sparsity_rate=0.995)
     assert g.reconnection.any() and not g.reconnection.all()
-    assert len(g.edges) % 8 != 0  # the last block is a short one
-    monkeypatch.setattr(gr, "EXPORT_BLOCK", block)
-    gr.export_edges_csv(g, tmp_path / "blocks.csv")
+    assert len(g.edges) % 2 != 0  # 8 fields are 2 edges: a short last block
+    monkeypatch.setattr(dm, "FIELDS_PER_WRITE", fields)
+    cli._write_edges_csv(tmp_path / "blocks.csv", g)
     export_edges_csv(g, tmp_path / "rows.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == \
         (tmp_path / "rows.csv").read_bytes()
