@@ -82,9 +82,20 @@ def _jobs(args):
 # subcommands
 
 
+def _intact_modality(args):
+    """The intact modality of an intact_one scenario, 0 unless
+    --intact-modality names one; no other scenario takes the flag."""
+    if args.scenario == "intact_one":
+        return args.intact_modality or 0
+    if args.intact_modality is not None:
+        raise dm.DataError(f"--intact-modality applies to --scenario "
+                           f"intact_one, not {args.scenario}")
+
+
 def cmd_gen(args):
     if args.scenario == "none" and args.ratio != 0.0:
         raise dm.DataError("--ratio needs a --scenario")
+    intact = _intact_modality(args)
     os.makedirs(args.out, exist_ok=True)
     m = args.modalities
     if args.preset == "intersim-like":
@@ -98,7 +109,7 @@ def cmd_gen(args):
     spec_dict = None
     if args.scenario != "none":
         spec = dm.ScenarioSpec(kind=args.scenario, ratio=args.ratio,
-                               intact_modality=args.intact_modality,
+                               intact_modality=intact,
                                seed=args.seed)
         ds = dm.apply_scenario(ds, spec)
         spec_dict = spec.to_dict()
@@ -251,6 +262,7 @@ def _sweep_task(payload):
 
 
 def cmd_sweep(args):
+    intact = _intact_modality(args)
     os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
     levels = [float(x) for x in args.levels.split(",")]
@@ -258,7 +270,7 @@ def cmd_sweep(args):
         raise tr.ConfigError("--repeats must be positive")
     jobs = _jobs(args)
     if jobs > 1:
-        tasks = [(args.dataset, args.scenario, args.intact_modality, level,
+        tasks = [(args.dataset, args.scenario, intact, level,
                   rep, config.to_dict())
                  for level in levels for rep in range(args.repeats)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -266,7 +278,7 @@ def cmd_sweep(args):
     else:
         rows = tr.run_scenario_sweep(dm.load_bundle(args.dataset),
                                      args.scenario, levels, args.repeats,
-                                     config, args.intact_modality)
+                                     config, intact)
     cols = sorted({k for r in rows for k in r},
                   key=lambda c: (c not in ("level", "repeat"), c))
     curve_path = os.path.join(args.out, "sweep.csv")
@@ -352,7 +364,7 @@ def build_parser():
     p.add_argument("--scenario", choices=["none", "intact_one", "shared_core",
                                           "random_mask"], default="none")
     p.add_argument("--ratio", type=float, default=0.0)
-    p.add_argument("--intact-modality", type=int, default=0)
+    p.add_argument("--intact-modality", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -379,7 +391,7 @@ def build_parser():
                                           "random_mask"], required=True)
     p.add_argument("--levels", default="0,0.2,0.4,0.6,0.8")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--intact-modality", type=int, default=0)
+    p.add_argument("--intact-modality", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 

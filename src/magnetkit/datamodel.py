@@ -249,6 +249,10 @@ def load_bundle(bundle_dir):
             or not all(isinstance(n, str) for n in names)):
         raise DataError("manifest.json needs modality_names, a non-empty list "
                         "of strings")
+    bad = [n for n in names if n in (".", "..") or "/" in n or os.sep in n]
+    if bad:  # each name is a file in the bundle directory, never a path
+        raise DataError(f"manifest.json modality name {bad[0]!r} is not a "
+                        "file name")
     paths = [os.path.join(bundle_dir, f"{n}.csv") for n in names]
     return load_csv(paths, os.path.join(bundle_dir, "labels.csv"), modality_names=names)
 

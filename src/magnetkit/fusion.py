@@ -19,8 +19,8 @@ class ObservedRows:
     """The forward pass's input: the N x M 0/1 ``mask`` and, for each
     modality, the patients that have it (``rows[i]``) and their feature
     rows (``blocks[i]``), gathered into a C-ordered block of the run dtype.
-    A training run builds it once and every epoch reads it; the rows of
-    absent modalities are never copied.
+    A training run builds it once and every epoch reads its training
+    rows; the rows of absent modalities are never copied.
     """
 
     mask: np.ndarray
@@ -35,14 +35,24 @@ class ObservedRows:
                    blocks=[np.ascontiguousarray(x[r], dtype=dtype)
                            for x, r in zip(modalities, rows)])
 
+    def take(self, idx):
+        """The ObservedRows of the patients ``idx``, an increasing index
+        array, renumbered 0..len(idx)-1 in that order."""
+        pos = np.full(len(self.mask), -1)
+        pos[idx] = np.arange(len(idx))
+        at = [pos[r] for r in self.rows]
+        return ObservedRows(self.mask[idx], [r[r >= 0] for r in at],
+                            [b[r >= 0] for r, b in zip(at, self.blocks)])
+
 
 def encode(obs, enc_params, dropout=0.0, rng=None):
     """Run the observed rows of each modality (an ``ObservedRows``) through
     its MLP encoder (matmul, bias, ReLU, matmul, bias) as one tape node;
     returns the N x M x d block whose entry (j, i) is patient j's
     modality-i embedding, exactly zero where the modality is missing.
-    With ``dropout`` > 0 each modality's embeddings are multiplied by an
-    N x d inverted-dropout mask drawn from ``rng``, in modality order.
+    With ``dropout`` > 0 each modality's observed embeddings are
+    multiplied by a len(rows) x d inverted-dropout mask drawn from
+    ``rng``, in modality order.
     """
     w_last = enc_params[0][2].data
     n, d = len(obs.mask), w_last.shape[1]
@@ -53,7 +63,7 @@ def encode(obs, enc_params, dropout=0.0, rng=None):
         h, out = nm.mlp_forward(x, *params)
         keep = None
         if dropout > 0:
-            keep = nm.dropout_mask((n, d), dropout, rng, block.dtype)[rows]
+            keep = nm.dropout_mask(out.shape, dropout, rng, block.dtype)
             out *= keep
         block[rows, i] = out
         hidden.append((h, keep))

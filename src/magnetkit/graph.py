@@ -151,20 +151,23 @@ def build_graph(ds, sims, sparsity_rate):
                         reconnection=recon)
 
 
-def inductive_filter(g, sims, tags, train_side=("train", "validation")):
-    """Training view of `g`: remove every edge crossing between the training
-    side (nodes whose split tag is in `train_side`) and the test side, then
-    reconnect each training-side node left isolated to its best valid
-    training-side neighbor."""
-    is_train = np.isin(tags, train_side)
-    keep = is_train[g.edges[:, 0]] == is_train[g.edges[:, 1]]
+def inductive_filter(g, sims, nodes):
+    """Training view of `g`: the subgraph induced by `nodes`, the training
+    side's node ids in increasing order, relabelled 0..len(nodes)-1 in that
+    order. Each of its nodes left isolated is reconnected to its best valid
+    neighbor among `nodes`."""
+    is_train = np.zeros(g.n_nodes, dtype=bool)
+    is_train[nodes] = True
+    keep = is_train[g.edges].all(axis=1)
     edges = g.edges[keep].astype(np.int64, copy=False)
     deg = np.bincount(edges.ravel(), minlength=g.n_nodes)
     edges, svals, recon, _ = _reconnect(
         edges, g.similarities[keep], g.reconnection[keep], sims,
         np.flatnonzero(is_train & (deg == 0)), allowed=is_train)
-    return PatientGraph(n_nodes=g.n_nodes, edges=edges, similarities=svals,
-                        reconnection=recon)
+    # increasing ids map to increasing labels, so u < v still holds
+    label = np.cumsum(is_train) - 1
+    return PatientGraph(n_nodes=len(nodes), edges=label[edges],
+                        similarities=svals, reconnection=recon)
 
 
 def homophily(g, labels):

@@ -3,11 +3,11 @@
 Each model layer is one tape node with a closed-form backward, built in
 its layer function (`fusion.encode`, `fusion.fuse_multi_head`,
 `gnn.sage_layer`, `gnn.decode`), and each loss term is one node in
-`objective`. This module holds the tape, the parameter registry, the
-MLP, masked-softmax and dropout kernels the layers share, and the
-gradient of the row gather the loss nodes make. Every parameter is a
-view into one flat array and its gradient a view into one flat gradient
-array. Double precision by default; float32 is opt-in.
+`objective`; the loss nodes read every row they are given. This module
+holds the tape, the parameter registry, and the MLP, masked-softmax and
+dropout kernels the layers share. Every parameter is a view into one
+flat array and its gradient a view into one flat gradient array. Double
+precision by default; float32 is opt-in.
 """
 
 from __future__ import annotations
@@ -213,22 +213,3 @@ def masked_softmax_grad(p, g):
     given the output gradient ``g``; zero wherever p is."""
     gp = g * p
     return gp - p * gp.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# shared by the objective nodes
-
-
-def rows_grad(like, idx, g):
-    """The gradient of a row gather ``like[idx]``: ``g`` summed into the
-    rows ``idx`` of a zero array shaped like ``like``. Indices strictly
-    increasing from 0 up (a training split) never repeat a row, so they
-    place rows instead of the much slower np.add.at; a negative index may
-    name a later row."""
-    full = np.zeros_like(like)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size == 0 or (idx[0] >= 0 and np.all(idx[1:] > idx[:-1])):
-        full[idx] = g
-    else:
-        np.add.at(full, idx, g)
-    return full

@@ -18,13 +18,11 @@ class ObjectiveError(ValueError):
     pass
 
 
-def ce_loss(logits, labels, rows=None):
-    """Summed cross-entropy, log-sum-exp stabilized, over the rows of
-    ``logits`` that the training patients occupy, as one tape node: label
-    i belongs to row ``rows[i]`` (all rows if ``rows`` is None), and the
-    other rows get a zero gradient."""
+def ce_loss(logits, labels):
+    """Summed cross-entropy, log-sum-exp stabilized, of the rows of
+    ``logits`` against their ``labels``, as one tape node."""
     y = np.asarray(labels, dtype=np.int64)
-    x = logits.data if rows is None else logits.data[rows]
+    x = logits.data
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise nm.NumericsError("cross_entropy shape mismatch")
     z = x - x.max(axis=1, keepdims=True)
@@ -36,8 +34,7 @@ def ce_loss(logits, labels, rows=None):
         d = probs.copy()
         d[at, y] -= 1.0
         d *= g
-        nm.accumulate(logits, d if rows is None
-                      else nm.rows_grad(logits.data, rows, d))
+        nm.accumulate(logits, d)
 
     return nm.Tensor(np.asarray((lse - z[at, y]).sum()), parents=(logits,),
                      backward=backward, op="ce")
@@ -88,11 +85,10 @@ def build_P(sims, train_ids, dtype=np.float64):
                            p_log_p=float(p_log_p.sum()))
 
 
-def kl_alignment_loss(z, target, rows=None):
+def kl_alignment_loss(z, target):
     """KL(P || Q) of the ``target`` pair distribution P against the
-    Student-t pair distribution Q of the rows of ``z`` that the training
-    patients occupy, as one tape node: patient i of P is row ``rows[i]``
-    (all rows if ``rows`` is None), and the other rows get a zero gradient.
+    Student-t pair distribution Q of the rows of ``z``, as one tape node:
+    row i of ``z`` is patient i of P.
 
     With d the squared distances between rows, k = 1 / (1 + d), W the valid
     pairs and S = sum(W * k): Q = W * k / S and KL = p_log_p +
@@ -106,7 +102,7 @@ def kl_alignment_loss(z, target, rows=None):
     and backward.
     """
     p, weights = target.p, target.weights
-    x = z.data if rows is None else z.data[rows]
+    x = z.data
     if x.ndim != 2:
         raise nm.NumericsError("pairwise distance expects a matrix")
     n, dim = x.shape
@@ -151,8 +147,7 @@ def kl_alignment_loss(z, target, rows=None):
         dz = acc[:, dim:] * x
         dz -= acc[:, :dim]
         dz *= 4.0 * float(g)
-        nm.accumulate(z, dz if rows is None
-                      else nm.rows_grad(z.data, rows, dz))
+        nm.accumulate(z, dz)
 
     value = np.asarray(target.p_log_p + cross + np.log(s), dtype=x.dtype)
     return nm.Tensor(value, parents=(z,), backward=backward, op="kl")

@@ -215,31 +215,24 @@ class TrainedModel:
         return self.params.graph.values()
 
 
-def _count_crossing(g, tags, train_side):
-    is_train = np.isin(tags, train_side)
-    if len(g.edges) == 0:
-        return 0
-    return int((is_train[g.edges[:, 0]] != is_train[g.edges[:, 1]]).sum())
-
-
 def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     """Full training per the inductive protocol.
 
-    The graph is built once; the training view drops every edge crossing to
-    the test side, and the model keeps the full graph, its view and the
-    encoder inputs as the dataset's EvalInputs for ``evaluate``. The
-    input-space pair distribution P is fixed; Q is recomputed from the
-    current fused embeddings each epoch.
+    The graph is built once. The epoch loop reads the training side alone:
+    its induced subgraph and its rows of the encoder inputs. The model keeps
+    the full graph, its view and the encoder inputs as the dataset's
+    EvalInputs for ``evaluate``. The input-space pair distribution P is
+    fixed; Q is recomputed from the current fused embeddings each epoch.
     """
     dtype = config.dtype
     rng = np.random.default_rng(config.seed)
 
+    train_idx = split_assignment.indices(*train_side)
     sims = pg.pairwise_similarity(ds)
     g = pg.build_graph(ds, sims, config.sparsity_rate)
-    g_train = pg.inductive_filter(g, sims, split_assignment.tags, train_side)
+    g_train = pg.inductive_filter(g, sims, train_idx)
     view = _view(g_train, config)
 
-    train_idx = split_assignment.indices(*train_side)
     guard = LabelGuard(ds.labels, allowed=train_idx)
     y_train = guard.take(train_idx)
 
@@ -249,20 +242,21 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
     inputs = fu.ObservedRows.of(ds.modalities, ds.mask, dtype)
+    train_inputs = inputs.take(train_idx)
     adam = AdamState.for_params(params.graph.flat)
 
     report = TrainReport(config=config.to_dict())
-    report.crossing_edges_in_train_view = _count_crossing(
-        g_train, split_assignment.tags, train_side)
+    ends = split_assignment.tags[train_idx[g_train.edges]]  # mapped back
+    report.crossing_edges_in_train_view = int(
+        (~np.isin(ends, train_side)).any(axis=1).sum())
 
     started = time.perf_counter()
     for epoch in range(config.epochs):
         lr = learning_rate_at(config, epoch)
-        logits, _, z_fused, _ = gnn.forward(params, inputs, view, config,
+        logits, _, z_fused, _ = gnn.forward(params, train_inputs, view, config,
                                             rng=rng, training=True)
-        ce = obj.ce_loss(logits, y_train, train_idx)
-        kl = (obj.kl_alignment_loss(z_fused, target, train_idx)
-              if config.lam > 0 else None)
+        ce = obj.ce_loss(logits, y_train)
+        kl = obj.kl_alignment_loss(z_fused, target) if config.lam > 0 else None
         total = obj.total_loss(ce, kl, config.lam)
         kl_val = 0.0 if kl is None else float(kl.data)
         total_val = float(total.data)

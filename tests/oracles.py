@@ -2,9 +2,10 @@
 tests to check the differentiable code in `magnetkit.objective`, alignment
 targets built from asymmetric matrices, the Student-t KL node for
 asymmetric pair matrices, the generic tape ops and the chain-of-ops
-oracles of the fused layer nodes, the dense modality encoder, the
-single-component parameter builders the unit tests start from, the
-finite-difference gradient oracle, copy-based preprocessing and
+oracles of the fused layer nodes, the full-view training loss that the
+training pass on the training side must match, the dense modality
+encoder, the single-component parameter builders the unit tests start
+from, the finite-difference gradient oracle, copy-based preprocessing and
 masking that the in-place versions in `magnetkit.datamodel` must match
 bitwise, loop versions of the confusion matrix, midranks and the AUPRC
 that `magnetkit.evalkit` must match exactly, per-row CSV writers that
@@ -19,6 +20,7 @@ import os
 import numpy as np
 
 from magnetkit import datamodel as dm
+from magnetkit import fusion as fu
 from magnetkit import gnn
 from magnetkit import graph as pg
 from magnetkit import numerics as nm
@@ -209,12 +211,27 @@ def einsum(spec, a, b):
                      backward=backward, op="einsum")
 
 
+def rows_grad(like, idx, g):
+    """The gradient of a row gather ``like[idx]``: ``g`` summed into the
+    rows ``idx`` of a zero array shaped like ``like``. Indices strictly
+    increasing from 0 up (a training split) never repeat a row, so they
+    place rows instead of the much slower np.add.at; a negative index may
+    name a later row."""
+    full = np.zeros_like(like)
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size == 0 or (idx[0] >= 0 and np.all(idx[1:] > idx[:-1])):
+        full[idx] = g
+    else:
+        np.add.at(full, idx, g)
+    return full
+
+
 def select_rows(a, idx):
     """The rows ``idx`` of ``a``; repeated rows sum their gradients."""
     idx = np.asarray(idx, dtype=np.int64)
 
     def backward(g):
-        nm.accumulate(a, nm.rows_grad(a.data, idx, g))
+        nm.accumulate(a, rows_grad(a.data, idx, g))
 
     return nm.Tensor(a.data[idx], parents=(a,), backward=backward,
                      op="select")
@@ -322,13 +339,13 @@ def stack_modalities(hs):
 
 def chain_encode(obs, enc_params, rate=0.0, rng=None):
     """Reference for `fusion.encode` on the ObservedRows ``obs``: per
-    modality matmul, bias, ReLU, matmul, bias on the observed rows,
-    scatter, dropout."""
+    modality matmul, bias, ReLU, matmul, bias and dropout on the observed
+    rows, then scatter."""
     hs = []
     for rows, x, (w1, b1, w2, b2) in zip(obs.rows, obs.blocks, enc_params):
         h = relu(add(matmul(constant(x), w1), b1))
-        out = scatter_rows(add(matmul(h, w2), b2), rows, len(obs.mask))
-        hs.append(dropout(out, rate, rng))
+        out = dropout(add(matmul(h, w2), b2), rate, rng)
+        hs.append(scatter_rows(out, rows, len(obs.mask)))
     return stack_modalities(hs)
 
 
@@ -389,6 +406,39 @@ def chain_forward(params, obs, view, config, rng=None, training=False):
     for layer_params in params.sage:
         z_out = chain_sage_layer(z_out, view, layer_params, rate, rng)
     return chain_decode(z_out, params.decoder), z
+
+
+def crossing_free_graph(g, sims, nodes):
+    """The training view over all N nodes: ``g`` without the edges between
+    ``nodes`` (the training side) and the other nodes, with the
+    reconnections of `graph.inductive_filter` among ``nodes``. The test
+    side keeps its own edges and no message crosses between the sides."""
+    sub = pg.inductive_filter(g, sims, nodes)
+    rest = np.ones(g.n_nodes, dtype=bool)
+    rest[nodes] = False
+    rest = rest[g.edges].all(axis=1)
+    return pg.PatientGraph(
+        n_nodes=g.n_nodes, edges=np.concatenate([nodes[sub.edges],
+                                                 g.edges[rest]]),
+        similarities=np.concatenate([sub.similarities, g.similarities[rest]]),
+        reconnection=np.concatenate([sub.reconnection, g.reconnection[rest]]))
+
+
+def full_view_loss(params, ds, config, nodes):
+    """Reference for the training pass at dropout 0: the forward pass over
+    all N rows of ``ds`` on the crossing-free view, then the training rows
+    ``nodes`` gathered into CE and KL; returns the total loss tensor."""
+    sims = pg.pairwise_similarity(ds)
+    g = pg.build_graph(ds, sims, config.sparsity_rate)
+    view = gnn.GraphView.from_graph(crossing_free_graph(g, sims, nodes),
+                                    not config.no_edge_feature, config.dtype)
+    obs = fu.ObservedRows.of(ds.modalities, ds.mask, config.dtype)
+    logits, _, z_fused, _ = gnn.forward(params, obs, view, config)
+    ce = ob.ce_loss(select_rows(logits, nodes), ds.labels[nodes])
+    kl = (ob.kl_alignment_loss(select_rows(z_fused, nodes),
+                               ob.build_P(sims, nodes, config.dtype))
+          if config.lam > 0 else None)
+    return ob.total_loss(ce, kl, config.lam)
 
 
 def add_parameter(graph, name, data):

@@ -180,7 +180,8 @@ def test_criterion_01_gradient_correctness():
             t["a"], {"w1": t["b"], "b1": t["c"], "w2": t["d"],
                      "b2": t["e"]}))),
          {"a": (3, 2), "b": (2, 4), "c": (4,), "d": (4, 3), "e": (3,)}),
-        (lambda t: ob.ce_loss(t["a"], np.array([2, 0]), np.array([1, 3])),
+        (lambda t: ob.ce_loss(select_rows(t["a"], np.array([1, 3])),
+                              np.array([2, 0])),
          {"a": (4, 3)}),
         (lambda t: ob.total_loss(sum_all(sq(t["a"])), sum_all(t["b"]), 0.3),
          {"a": (2, 2), "b": (3,)}),
@@ -276,11 +277,13 @@ def test_criterion_04_graph_invariants():
         assert np.all(g.degrees() >= 1)
 
         assignment = dm.split(ds, seed=trial)
-        g_train = gr.inductive_filter(g, sims, assignment.tags)
+        nodes = assignment.indices(dm.TRAIN, dm.VAL)
+        g_train = gr.inductive_filter(g, sims, nodes)
+        assert g_train.n_nodes == len(nodes)
         is_train = np.isin(assignment.tags, (dm.TRAIN, dm.VAL))
         if len(g_train.edges):
-            crossing = (is_train[g_train.edges[:, 0]]
-                        != is_train[g_train.edges[:, 1]])
+            ends = nodes[g_train.edges]
+            crossing = is_train[ends[:, 0]] != is_train[ends[:, 1]]
             assert crossing.sum() == 0
 
 

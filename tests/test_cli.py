@@ -496,6 +496,20 @@ def _names_ok(value):
             and all(isinstance(n, str) for n in value))
 
 
+@pytest.mark.parametrize("name", ["../outside", "sub/m0", ".", ".."])
+def test_modality_name_that_is_not_a_file_name_is_config_error(
+        tmp_path, bundle, config_file, capsys, name):
+    # a readable modality file outside the bundle must not be reached
+    shutil.copy(modality_file(bundle), tmp_path / "outside.csv")
+    (bundle / "sub").mkdir()
+    shutil.copy(modality_file(bundle), bundle / "sub" / "m0.csv")
+    edit_manifest(bundle, lambda m: {
+        **m, "modality_names": [name, *m["modality_names"][1:]]})
+    code, err = train_on(bundle, config_file, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert f"modality name {name!r} is not a file name" in err
+
+
 @st.composite
 def bundle_fault(draw, root):
     """Break the bundle in ``root`` in one way: an empty file, a short or
@@ -685,6 +699,38 @@ def test_intact_modality_out_of_range_is_config_error(tmp_path, bundle,
                        "--out", tmp_path / "out"])
     assert code == cli.EXIT_CONFIG
     assert "intact modality 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["random_mask", "shared_core"])
+@pytest.mark.parametrize("command", ["sweep", "gen"])
+def test_intact_modality_with_another_scenario_is_config_error(
+        tmp_path, bundle, config_file, capsys, command, scenario):
+    argv = (["sweep", "--dataset", bundle, "--config", config_file,
+             "--levels", "0,0.4", "--repeats", 1] if command == "sweep" else
+            ["gen", "--preset", "intersim-like", "--n", 40, "--clusters", 2,
+             "--ratio", 0.4])
+    code = run(argv + ["--scenario", scenario, "--intact-modality", 1,
+                       "--out", tmp_path / "out"])
+    assert code == cli.EXIT_CONFIG
+    assert "--intact-modality applies to --scenario intact_one" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_intact_one_keeps_modality_0_by_default(tmp_path):
+    argv = ["gen", "--preset", "intersim-like", "--n", 40, "--clusters", 2,
+            "--ratio", 0.4]
+    assert run(argv + ["--scenario", "intact_one", "--out",
+                       tmp_path / "one"]) == cli.EXIT_OK
+    mask = dm.load_bundle(tmp_path / "one").mask
+    assert mask[:, 0].all() and not mask[:, 1:].all()
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert manifest["scenario"]["intact_modality"] == 0
+    # a scenario with no intact modality records none
+    assert run(argv + ["--scenario", "random_mask", "--out",
+                       tmp_path / "random"]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "random" / "manifest.json").read_text())
+    assert manifest["scenario"]["intact_modality"] is None
 
 
 @pytest.mark.parametrize("repeats", [0, -1])

@@ -172,14 +172,11 @@ def test_decoder_and_row_ce_match_chain(n, classes, repeated, dtype, seed):
               "b1": rng.normal(size=3), "w2": rng.normal(size=(3, classes)),
               "b2": rng.normal(size=classes)}
 
-    def build(decode, ce):
-        return lambda t: ce(decode(t["z"], t), labels, rows)
+    def build(decode):
+        return lambda t: ob.ce_loss(select_rows(decode(t["z"], t), rows),
+                                    labels)
 
-    def chain_ce(logits, labels, rows):
-        return ob.ce_loss(select_rows(logits, rows), labels)
-
-    check(build(gnn.decode, ob.ce_loss), build(chain_decode, chain_ce),
-          values, dtype, seed)
+    check(build(gnn.decode), build(chain_decode), values, dtype, seed)
     check(lambda t: gnn.decode(t["z"], t), lambda t: chain_decode(t["z"], t),
           values, dtype, seed)
 
@@ -189,10 +186,12 @@ def test_decoder_and_row_ce_match_chain(n, classes, repeated, dtype, seed):
                         2 * ob.KL_TILE + 3]),
        st.sampled_from(["split", "shuffled", "repeated"]), DTYPES, SEEDS)
 def test_row_kl_matches_select_rows_then_node(n, order, dtype, seed):
-    # the KL node's own row gather against the gather op before the node,
-    # bit for bit, at sizes below, at and past the row tile. A training
-    # split's rows increase; shuffled and repeated rows take the
-    # scatter-add path of the gradient.
+    # the KL node over rows that the gather op picks, as the full-view
+    # oracle of the training pass feeds it, against the node over those
+    # rows as its own input with the gradient scattered back by a dense
+    # scatter-add, bit for bit, at sizes below, at and past the row tile.
+    # A training split's rows increase; shuffled and repeated rows take
+    # the scatter-add path of the gather's gradient.
     rng = np.random.default_rng(seed)
     n_rows = n + 5
     if order == "repeated":
@@ -206,14 +205,16 @@ def test_row_kl_matches_select_rows_then_node(n, order, dtype, seed):
     p_raw = np.where(valid, rng.uniform(size=(n, n)), 0.0)
     target = alignment_target(p_raw / p_raw.sum(), valid, dtype)
     values = {"z": rng.normal(scale=2.0, size=(n_rows, 4))}
-    out, grads = run(lambda t: ob.kl_alignment_loss(t["z"], target, rows),
-                     values, dtype, seed)
-    ref, ref_grads = run(
+    out, grads = run(
         lambda t: ob.kl_alignment_loss(select_rows(t["z"], rows), target),
         values, dtype, seed)
+    ref, ref_grads = run(lambda t: ob.kl_alignment_loss(t["z"], target),
+                         {"z": values["z"][rows]}, dtype, seed)
+    scattered = np.zeros(values["z"].shape, dtype=dtype)
+    np.add.at(scattered, rows, ref_grads["z"])
     assert out.dtype == grads["z"].dtype == dtype
     assert np.array_equal(out, ref)
-    assert np.array_equal(grads["z"], ref_grads["z"])
+    assert np.array_equal(grads["z"], scattered)
 
 
 @settings(max_examples=20, deadline=None)

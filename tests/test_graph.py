@@ -112,9 +112,13 @@ def brute_build_graph(ds, sims, rate):
             np.array(recon, dtype=bool))
 
 
-def brute_inductive_filter(g, sims, tags, train_side):
-    is_train = np.isin(tags, train_side)
-    keep = [is_train[u] == is_train[v] for u, v in g.edges]
+def brute_inductive_filter(g, sims, nodes):
+    """Loop version of `graph.inductive_filter`: the edges between two of
+    `nodes`, reconnection among them, then each node renamed by its place
+    in `nodes`."""
+    is_train = np.zeros(g.n_nodes, dtype=bool)
+    is_train[nodes] = True
+    keep = [is_train[u] and is_train[v] for u, v in g.edges]
     edges = [tuple(e) for e, k in zip(g.edges.tolist(), keep) if k]
     svals = [s for s, k in zip(g.similarities, keep) if k]
     recon = [r for r, k in zip(g.reconnection, keep) if k]
@@ -130,8 +134,15 @@ def brute_inductive_filter(g, sims, tags, train_side):
             edges.append(pair)
             svals.append(float(sims.values[pair]))
             recon.append(True)
+    label = {int(u): i for i, u in enumerate(nodes)}
+    edges = [(label[u], label[v]) for u, v in edges]
     return (np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(svals),
             np.array(recon, dtype=bool))
+
+
+def train_nodes(tags, side=(dm.TRAIN, dm.VAL)):
+    """The training-side node ids `train` passes to the filter."""
+    return dm.SplitAssignment(np.asarray(tags)).indices(*side)
 
 
 def all_valid(n):
@@ -328,9 +339,12 @@ def test_inductive_filter_removes_crossing_edges():
                         edges=np.array([[0, 1], [1, 2], [2, 3]]),
                         similarities=np.array([0.9, 0.8, 0.7]),
                         reconnection=np.zeros(3, dtype=bool))
-    got = gr.inductive_filter(g, all_valid(4), tags)
-    kept = set(map(tuple, got.edges.tolist()))
-    assert kept == {(0, 1), (2, 3)}
+    nodes = train_nodes(tags)
+    got = gr.inductive_filter(g, all_valid(4), nodes)
+    assert got.n_nodes == 2
+    # the crossing edge (1, 2) and the test-side edge (2, 3) are gone
+    kept = set(map(tuple, nodes[got.edges].tolist()))
+    assert kept == {(0, 1)}
 
 
 def test_inductive_filter_reconnects_within_train_side():
@@ -344,24 +358,35 @@ def test_inductive_filter_reconnects_within_train_side():
     g = gr.PatientGraph(n_nodes=3, edges=np.array([[1, 2]]),
                         similarities=np.array([0.95]),
                         reconnection=np.zeros(1, dtype=bool))
-    got = gr.inductive_filter(g, sims, tags)
-    assert set(map(tuple, got.edges.tolist())) == {(0, 1)}
+    nodes = train_nodes(tags)
+    got = gr.inductive_filter(g, sims, nodes)
+    assert got.n_nodes == 2
+    assert set(map(tuple, nodes[got.edges].tolist())) == {(0, 1)}
     assert got.reconnection[0]
     assert got.similarities[0] == pytest.approx(0.4)
 
 
 def test_inductive_filter_validation_on_train_side_by_default():
-    tags = np.array(["train", "validation", "test"])
-    g = gr.PatientGraph(n_nodes=3, edges=np.array([[0, 1], [1, 2]]),
-                        similarities=np.array([0.5, 0.6]),
-                        reconnection=np.zeros(2, dtype=bool))
-    sims = all_valid(3)
-    got = gr.inductive_filter(g, sims, tags)
-    assert set(map(tuple, got.edges.tolist())) == {(0, 1)}
-    # strict side assignment: the train-validation edge now crosses, while
-    # the validation-test edge stays entirely on the held-out side
-    strict = gr.inductive_filter(g, sims, tags, train_side=("train",))
-    assert set(map(tuple, strict.edges.tolist())) == {(1, 2)}
+    # `train`'s default side holds train and validation nodes; the test
+    # node between them is dropped and the others renumbered in order
+    tags = np.array(["train", "test", "validation", "train"])
+    g = gr.PatientGraph(n_nodes=4, edges=np.array([[0, 1], [0, 2], [1, 2],
+                                                   [2, 3]]),
+                        similarities=np.array([0.5, 0.6, 0.7, 0.8]),
+                        reconnection=np.zeros(4, dtype=bool))
+    sims = all_valid(4)
+    nodes = train_nodes(tags)
+    got = gr.inductive_filter(g, sims, nodes)
+    assert nodes.tolist() == [0, 2, 3]
+    assert got.edges.tolist() == [[0, 1], [1, 2]]
+    assert got.similarities.tolist() == [0.6, 0.8]
+    # strict side assignment: the train-validation edges now cross, so both
+    # train nodes are isolated and reconnect to each other
+    strict_nodes = train_nodes(tags, (dm.TRAIN,))
+    strict = gr.inductive_filter(g, sims, strict_nodes)
+    assert strict.n_nodes == 2
+    assert set(map(tuple, strict_nodes[strict.edges].tolist())) == {(0, 3)}
+    assert strict.reconnection.all()
 
 
 def test_homophily_hand_example():
@@ -445,8 +470,10 @@ def test_build_and_filter_match_loop_oracles(seed, rate, mask_rate, rounded):
     assert_same_arrays(g, ref)
     tags = rng.choice(["train", "validation", "test"], size=n)
     for side in (("train", "validation"), ("train",)):
-        got = gr.inductive_filter(g, sims, tags, side)
-        assert_same_arrays(got, brute_inductive_filter(g, sims, tags, side))
+        nodes = train_nodes(tags, side)
+        got = gr.inductive_filter(g, sims, nodes)
+        assert got.n_nodes == len(nodes)
+        assert_same_arrays(got, brute_inductive_filter(g, sims, nodes))
 
 
 def test_reconnection_tie_goes_to_lowest_index():
@@ -463,7 +490,7 @@ def test_reconnection_tie_goes_to_lowest_index():
     g = gr.PatientGraph(n_nodes=5, edges=np.array([[1, 2], [0, 4]]),
                         similarities=np.array([0.9, 0.9]),
                         reconnection=np.zeros(2, dtype=bool))
-    got = gr.inductive_filter(g, sims, np.array(["train"] * 4 + ["test"]))
+    got = gr.inductive_filter(g, sims, train_nodes(["train"] * 4 + ["test"]))
     assert got.edges.tolist() == [[1, 2], [0, 2], [0, 3]]
     assert got.reconnection.tolist() == [False, True, True]
     assert got.similarities.tolist() == [0.9, 0.5, 0.5]

@@ -9,7 +9,7 @@ from magnetkit import fusion as fu
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import trainer as tr
-from oracles import add_parameter
+from oracles import add_parameter, full_view_loss
 
 
 FAST = dict(embed_dim=16, heads=2, encoder_hidden=16, gnn_layers=2,
@@ -301,6 +301,67 @@ def test_evaluate_reuses_the_graph_train_built(monkeypatch, precision):
                             dm.TEST)
     assert sims == [1] and gathers == [1]
     assert_same_evaluation(other, want)
+
+
+# largest gradient deviation from the oracle, relative to its largest
+# entry, as for the fused nodes against their chain oracles
+GRAD_TOL = {np.float64: 1e-10, np.float32: 1e-4}
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("preset", ["intersim-like", "scalability"])
+def test_training_pass_matches_the_full_view_oracle(monkeypatch, preset,
+                                                    precision):
+    # the epoch loop holds the training side alone, and its epoch-0 loss
+    # is bitwise the loss of the forward pass over all rows on the
+    # crossing-free view with the training rows gathered for CE and KL
+    ds = (toy_dataset(seed=5) if preset == "intersim-like" else
+          dm.gen_scalability(n=60, modalities=4, features_per_modality=12,
+                             seed=5))
+    ds = dm.apply_scenario(ds, dm.ScenarioSpec(kind="random_mask", ratio=0.4,
+                                               seed=5))
+    assignment = dm.split(ds, seed=5)
+    ds = dm.preprocess(ds, split=assignment)
+    cfg = tr.RunConfig(seed=5, precision=precision, **{**FAST, "epochs": 2})
+    nodes = assignment.indices(dm.TRAIN, dm.VAL)
+    seen, grads = [], []
+    forward, step = tr.gnn.forward, tr.adam_step
+
+    def recording_forward(params, obs, view, config, rng=None,
+                          training=False):
+        if training:
+            seen.append((obs, view.n_nodes))
+        return forward(params, obs, view, config, rng, training)
+
+    def recording_step(graph, state, lr):
+        grads.append(graph.grad.copy())
+        step(graph, state, lr)
+
+    with monkeypatch.context() as m:
+        m.setattr(tr.gnn, "forward", recording_forward)
+        m.setattr(tr, "adam_step", recording_step)
+        _, report = tr.train(ds, cfg, assignment)
+
+    want = fu.ObservedRows.of([x[nodes] for x in ds.modalities],
+                              ds.mask[nodes], cfg.dtype)
+    assert len(seen) == cfg.epochs
+    for obs, n_nodes in seen:
+        assert n_nodes == len(nodes)
+        assert_same_bits(obs.mask, want.mask)
+        assert len(obs.rows) == len(obs.blocks) == len(want.rows)
+        for got, ref in zip(obs.rows + obs.blocks, want.rows + want.blocks):
+            assert_same_bits(got, ref)
+
+    params = tr.gnn.init_model([x.shape[1] for x in ds.modalities],
+                               ds.class_count, cfg,
+                               np.random.default_rng(cfg.seed))
+    loss = full_view_loss(params, ds, cfg, nodes)
+    assert float(loss.data).hex() == report.loss_log[0][3].hex()
+    params.graph.backward(loss)
+    ref = params.graph.grad
+    assert grads[0].dtype == ref.dtype == cfg.dtype
+    assert (np.max(np.abs(grads[0] - ref))
+            <= GRAD_TOL[cfg.dtype] * np.max(np.abs(ref)))
 
 
 def test_no_test_label_access_during_training():
