@@ -319,8 +319,8 @@ def cmd_graph_stats(args):
     config = _load_config(args)
     prepped, assignment = dm.split_and_preprocess(
         dm.load_bundle(args.dataset), config.seed)
-    sims = pg.pairwise_similarity(prepped)
-    g = pg.build_graph(prepped, sims, config.sparsity_rate)
+    g = pg.build_graph(prepped, pg.pairwise_similarity(prepped),
+                       config.sparsity_rate)
     node_h, edge_h, baseline = pg.homophily(g, prepped.labels)
     stats = {"node_homophily": node_h, "edge_homophily": edge_h,
              "random_baseline": baseline, "degree": pg.degree_stats(g),

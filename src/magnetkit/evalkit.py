@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 class MetricError(ValueError):
@@ -95,7 +94,7 @@ def cluster_metrics(z, labels):
     onehot = (own[:, None] == np.arange(len(classes))).astype(float)
     size = onehot.sum(axis=0)
     # summed distance from each point to every class, N x K
-    class_dist = cdist(z, z) @ onehot
+    class_dist = _distances(z) @ onehot
     n_own = size[own]
     a = class_dist[rows, own] / np.maximum(n_own - 1, 1)
     mean_dist = class_dist / size
@@ -110,13 +109,28 @@ def cluster_metrics(z, labels):
     centroids = np.stack([z[own == k].mean(axis=0) for k in range(len(classes))])
     scatter = np.bincount(
         own, weights=np.linalg.norm(z - centroids[own], axis=1)) / size
-    sep = cdist(centroids, centroids)
+    # K x K x d differences: exact where close centroids make the ratio
+    # large, which a Gram product's cancellation would not be
+    sep = np.linalg.norm(centroids[:, None] - centroids, axis=2)
     spread = scatter[:, None] + scatter[None, :]
     ratio = np.full_like(sep, np.inf)
     np.divide(spread, sep, out=ratio, where=sep > 0)
     np.fill_diagonal(ratio, 0.0)
     return {"silhouette": silhouette,
             "davies_bouldin": float(ratio.max(axis=1).mean())}
+
+
+def _distances(x):
+    """Euclidean distances between the rows of ``x`` from one Gram product G:
+    G_ii + G_jj - 2 G_ij clamped at 0, with an exact-zero diagonal."""
+    d = x @ x.T
+    sq = d.diagonal().copy()
+    d *= -2.0
+    d += sq[:, None]
+    d += sq
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    return np.sqrt(d, out=d)
 
 
 def full_bundle(y_true, y_pred, probs, z, n_classes):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import numerics as nm
 
@@ -97,7 +96,9 @@ def fuse_multi_head(h, mask, att_params):
     h2 = h.data.reshape(n * m, d)
     t = h2 @ w_lin.data
     t4 = t.reshape(n, m, heads, d_h)
-    att_mat = block_diag(*(w.data for w in w_att))  # d x K
+    att_mat = np.zeros((heads * d_h, heads), dtype=w_att[0].data.dtype)
+    for k, w in enumerate(w_att):
+        att_mat[k * d_h:(k + 1) * d_h, k:k + 1] = w.data
     att = nm.masked_softmax_probs((t @ att_mat).reshape(n, m, heads), mask)
     fused = np.einsum("nmk,nmkh->nkh", att, t4).reshape(n, d)
 

@@ -14,13 +14,48 @@ class GraphError(ValueError):
     pass
 
 
+# Rows per tile of the similarity build and of the reads that expand rows
+# of it.
+SIM_TILE = 512
+
+
 @dataclass
 class SimilarityMatrix:
-    """Mean cosine similarity over shared modalities, with a validity mask
-    marking pairs that share at least one modality."""
+    """Mean cosine similarity over shared modalities of each pair i < j of
+    the N patients, with a validity flag marking pairs that share at least
+    one modality: the strict upper triangle of the symmetric matrix, packed
+    row by row, so pair (i, j) sits at i (2N - i - 3) / 2 + j - 1."""
 
-    values: np.ndarray  # N x N, symmetric
-    valid: np.ndarray   # N x N bool
+    n: int
+    values: np.ndarray  # N(N-1)/2 floats
+    valid: np.ndarray   # N(N-1)/2 bools
+
+    def block(self, rows, cols):
+        """Dense (values, valid) of the pairs ``rows`` x ``cols``, read in
+        row tiles of SIM_TILE; a patient paired with itself is invalid."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        # pair (i, j), i < j, sits at start[i] + j
+        start = _row_starts(self.n)[:-1] - np.arange(self.n) - 1
+        values = np.empty((len(rows), len(cols)))
+        valid = np.empty((len(rows), len(cols)), dtype=bool)
+        for a0 in range(0, len(rows), SIM_TILE):
+            r = rows[a0:a0 + SIM_TILE, None]
+            hi = np.maximum(r, cols)
+            pos = start.take(np.minimum(r, cols))
+            pos += hi
+            # the diagonal maps to the pair before it, -1 for patient 0
+            self.values.take(pos, out=values[a0:a0 + SIM_TILE], mode="wrap")
+            np.logical_and(self.valid.take(pos, mode="wrap"), r != cols,
+                           out=valid[a0:a0 + SIM_TILE])
+        return values, valid
+
+
+def _row_starts(n):
+    """Packed position of the first pair (i, i + 1) of each row i of N, and
+    the pair count N(N-1)/2 last."""
+    k = np.arange(n + 1, dtype=np.int64)
+    return k * (2 * n - k - 1) // 2
 
 
 @dataclass
@@ -65,12 +100,21 @@ def pairwise_similarity(ds):
     """Mean cosine similarity between patients over their shared modalities.
 
     Zero-norm vectors contribute cosine 0 for their modality; pairs with no
-    shared modality are flagged invalid. Diagonal is valid with value 1.
+    shared modality are flagged invalid. The packed triangle is built in
+    row tiles: tile I adds the Gram products of its rows against the
+    columns from its first row on, one modality at a time, so a tile
+    covering all N rows is the whole product.
     """
     n = ds.n_patients
     present = (ds.mask == 1).astype(np.float64)
-    total = np.zeros((n, n))
-    gram = np.empty((n, n))
+    starts = _row_starts(n)
+    bounds = [*range(0, n, SIM_TILE), n]
+    # each tile's rows, its span of the packed vector and the mask of its
+    # pairs i < j, whose row-major order is the packed order
+    tiles = [(i0, i1, slice(starts[i0], starts[i1]),
+              np.triu(np.ones((i1 - i0, n - i0), dtype=bool), k=1))
+             for i0, i1 in zip(bounds, bounds[1:])]
+    total = np.zeros(int(starts[-1]))
     for i in range(ds.n_modalities):
         x = ds.modalities[i]
         norms = np.linalg.norm(x, axis=1)
@@ -78,72 +122,84 @@ def pairwise_similarity(ds):
         xn = x / safe[:, None]
         # an absent or zero-norm row adds exactly 0 to every pair it is in
         xn[(present[:, i] == 0) | (norms == 0)] = 0.0
-        total += np.matmul(xn, xn.T, out=gram)
+        for i0, i1, pairs, upper in tiles:
+            total[pairs] += (xn[i0:i1] @ xn[i0:].T)[upper]
+    valid = np.empty(len(total), dtype=bool)
     # against a copy: numpy's symmetric path for present @ present.T is
     # slower here, and the small integer counts are exact either way
-    counts = np.matmul(present, present.T.copy(), out=gram)
-    valid = counts > 0
-    # a pair with no shared modality has a total of exactly 0
-    values = np.divide(total, np.maximum(counts, 1.0, out=counts), out=total)
-    np.clip(values, -1.0, 1.0, out=values)
-    np.fill_diagonal(values, 1.0)
-    np.fill_diagonal(valid, True)
-    return SimilarityMatrix(values=values, valid=valid)
+    present_t = present.T.copy()
+    for i0, i1, pairs, upper in tiles:
+        counts = (present[i0:i1] @ present_t[:, i0:])[upper]
+        np.greater(counts, 0, out=valid[pairs])
+        # a pair with no shared modality has a total of exactly 0
+        values = total[pairs]
+        values /= np.maximum(counts, 1.0, out=counts)
+        np.clip(values, -1.0, 1.0, out=values)
+    return SimilarityMatrix(n=n, values=total, valid=valid)
 
 
 def quantile_threshold(sims, rate):
-    """Nearest-rank quantile of an unsorted array; rate 0 keeps all."""
+    """Nearest-rank quantile of an unsorted array, which it partitions in
+    place; rate 0 keeps all."""
     n = len(sims)
     if n == 0 or rate <= 0.0:
         return -np.inf
     rank = math.ceil(rate * n)
     rank = min(max(rank, 1), n)
-    return np.partition(sims, rank - 1)[rank - 1]
+    sims.partition(rank - 1)
+    return sims[rank - 1]
 
 
 def _reconnect(edges, similarities, reconnection, sims, nodes, allowed=None):
     """Append an edge from each of `nodes` to its best valid neighbor.
 
-    The neighbor is a masked argmax over the node's row of `sims.values`:
-    valid pairs only, never the node itself, and only `allowed` nodes when
-    given. argmax takes the first maximum, so ties go to the lowest index.
-    The nodes have no edges yet, so a new pair can only repeat another new
+    The neighbor is a masked argmax over the node's row of `sims`: valid
+    pairs only, never the node itself, and only `allowed` nodes when given.
+    argmax takes the first maximum, so ties go to the lowest index. The
+    nodes have no edges yet, so a new pair can only repeat another new
     pair; repeats keep their first occurrence in ascending node order.
     Returns the extended (edges, similarities, reconnection) and the nodes
     that had no candidate.
     """
-    cand = sims.valid[nodes]
+    if len(nodes) == 0:
+        return edges, similarities, reconnection, nodes
+    values, cand = sims.block(nodes, np.arange(sims.n))
     if allowed is not None:
-        cand = cand & allowed
-    cand[np.arange(len(nodes)), nodes] = False
-    found = cand.any(axis=1)
-    best = np.where(cand, sims.values[nodes], -np.inf).argmax(axis=1)
-    pairs = np.sort(np.stack([nodes[found], best[found]], axis=1), axis=1)
+        cand &= allowed
+    found = np.flatnonzero(cand.any(axis=1))
+    np.copyto(values, -np.inf, where=~cand)
+    best = values.argmax(axis=1)[found]
+    pairs = np.sort(np.stack([nodes[found], best], axis=1), axis=1)
     _, first = np.unique(pairs, axis=0, return_index=True)
-    pairs = pairs[np.sort(first)]
-    return (np.concatenate([edges, pairs]),
-            np.concatenate([similarities, sims.values[pairs[:, 0], pairs[:, 1]]]),
-            np.concatenate([reconnection, np.ones(len(pairs), dtype=bool)]),
-            nodes[~found])
+    first.sort()
+    return (np.concatenate([edges, pairs[first]]),
+            np.concatenate([similarities, values[found[first], best[first]]]),
+            np.concatenate([reconnection, np.ones(len(first), dtype=bool)]),
+            np.delete(nodes, found))
 
 
 def build_graph(ds, sims, sparsity_rate):
     """Threshold shared-modality pairs at the sparsity-rate quantile of their
-    similarities, then reconnect isolated nodes to their best valid neighbor."""
+    similarities, then reconnect isolated nodes to their best valid neighbor.
+    The candidates come in packed order, which is row-major over u < v."""
     n = ds.n_patients
     if n < 2:
         raise GraphError("need at least 2 patients")
     if not (0.0 <= sparsity_rate < 1.0):
         raise GraphError("sparsity_rate must be in [0, 1)")
-    upper = np.triu(sims.valid, k=1)
-    threshold = quantile_threshold(sims.values[upper], sparsity_rate)
-    upper &= sims.values > threshold
-    cu, cv = np.nonzero(upper)
-    edges = np.stack([cu, cv], axis=1)
+    threshold = quantile_threshold(sims.values[sims.valid], sparsity_rate)
+    pos = np.flatnonzero((sims.values > threshold) & sims.valid)
+    svals = sims.values[pos]
+    starts = _row_starts(n)
+    edges = np.empty((len(pos), 2), dtype=np.int64)
+    edges[:, 0] = u = np.searchsorted(starts, pos, side="right") - 1
+    pos -= starts[u]
+    pos += u + 1
+    edges[:, 1] = pos
+    del pos, u  # before the reconnection copies the edges
     isolated = np.flatnonzero(np.bincount(edges.ravel(), minlength=n) == 0)
     edges, svals, recon, stranded = _reconnect(
-        edges, sims.values[cu, cv], np.zeros(len(edges), dtype=bool), sims,
-        isolated)
+        edges, svals, np.zeros(len(edges), dtype=bool), sims, isolated)
     if len(stranded):
         raise GraphError(
             f"node {stranded[0]} has no valid neighbor to reconnect to")

@@ -59,15 +59,13 @@ def build_P(sims, train_ids, dtype=np.float64):
     ordered pairs i != j, then normalize globally.
 
     Returns the AlignmentTarget over train_ids; its valid pairs have a zero
-    diagonal. The similarity matrix is symmetric, so P and W are too, bit
-    for bit.
+    diagonal. Both orders of a pair read the same packed similarity, so P
+    and W are symmetric bit for bit. W is built after P's constants, so
+    that it is not held alongside their temporaries.
     """
-    idx = np.asarray(train_ids, dtype=np.int64)
-    valid = sims.valid.take(idx, 0).take(idx, 1)
-    np.fill_diagonal(valid, False)
+    aff, valid = sims.block(train_ids, train_ids)
     if not valid.any():
         raise ObjectiveError("no valid patient pair for the alignment loss")
-    aff = sims.values.take(idx, 0).take(idx, 1)
     aff += 1.0
     aff /= 2.0
     np.copyto(aff, 0.0, where=~valid)
@@ -78,11 +76,13 @@ def build_P(sims, train_ids, dtype=np.float64):
         total = aff.sum()
     aff /= total
     p = aff.astype(dtype, copy=False)
+    del aff
     pos = p[p > 0].astype(np.float64, copy=False)
-    p_log_p = np.log(pos)
-    p_log_p *= pos
-    return AlignmentTarget(p=p, weights=valid.astype(dtype),
-                           p_log_p=float(p_log_p.sum()))
+    terms = np.log(pos)
+    terms *= pos
+    p_log_p = float(terms.sum())
+    del pos, terms
+    return AlignmentTarget(p=p, weights=valid.astype(dtype), p_log_p=p_log_p)
 
 
 def kl_alignment_loss(z, target):

@@ -10,8 +10,9 @@ masking that the in-place versions in `magnetkit.datamodel` must match
 bitwise, loop versions of the confusion matrix, midranks and the AUPRC
 that `magnetkit.evalkit` must match exactly, per-row CSV writers that
 the block writer of the bundle, edge, embedding and attention files
-must match byte for byte, and the lexsort edge check that
-`graph.PatientGraph`'s key check must agree with."""
+must match byte for byte, the lexsort edge check that
+`graph.PatientGraph`'s key check must agree with, and the dense N x N
+form of the packed `graph.SimilarityMatrix`."""
 
 import csv
 import math
@@ -406,6 +407,28 @@ def chain_forward(params, obs, view, config, rng=None, training=False):
     for layer_params in params.sage:
         z_out = chain_sage_layer(z_out, view, layer_params, rate, rng)
     return chain_decode(z_out, params.decoder), z
+
+
+def packed_similarity(values, valid=None):
+    """The `graph.SimilarityMatrix` of a dense N x N similarity and validity
+    (all pairs valid by default): their strict upper triangles."""
+    values = np.asarray(values, dtype=float)
+    upper = np.triu_indices(len(values), k=1)
+    valid = (np.ones(values.shape, dtype=bool) if valid is None
+             else np.asarray(valid, dtype=bool))
+    return pg.SimilarityMatrix(n=len(values), values=values[upper],
+                               valid=valid[upper])
+
+
+def dense_similarity(sims):
+    """(values, valid) N x N of a packed `graph.SimilarityMatrix`: the
+    triangle mirrored, with the diagonal valid at value 1."""
+    values = np.eye(sims.n)
+    valid = np.eye(sims.n, dtype=bool)
+    upper = np.triu_indices(sims.n, k=1)
+    values[upper] = sims.values
+    valid[upper] = sims.valid
+    return values + np.triu(values, k=1).T, valid | valid.T
 
 
 def crossing_free_graph(g, sims, nodes):

@@ -18,9 +18,10 @@ from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit import trainer as tr
 from oracles import (add, add_parameter, alignment_target, build_Q,
-                     concat_last_dim, constant, einsum, grad_check, kl_loss,
-                     kl_target, log, masked_softmax, matmul, mul, relu,
-                     scatter_rows, select_rows, set_values, shift, sum_all)
+                     concat_last_dim, constant, dense_similarity, einsum,
+                     grad_check, kl_loss, kl_target, log, masked_softmax,
+                     matmul, mul, packed_similarity, relu, scatter_rows,
+                     select_rows, set_values, shift, sum_all)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +267,9 @@ def test_criterion_04_graph_invariants():
         sims = gr.pairwise_similarity(ds)
 
         ref_values, ref_valid = brute_similarity(ds)
-        assert np.array_equal(sims.valid, ref_valid)
-        assert np.max(np.abs(sims.values - ref_values)) < 1e-12
+        values, valid = dense_similarity(sims)
+        assert np.array_equal(valid, ref_valid)
+        assert np.max(np.abs(values - ref_values)) < 1e-12
 
         rate = float(rng.uniform(0.0, 0.9))
         g = gr.build_graph(ds, sims, rate)
@@ -308,7 +310,7 @@ def test_criterion_05_loss_oracles():
     vals = (vals + vals.T) / 2
     valid = np.ones((8, 8), dtype=bool)
     ids = list(range(8))
-    target = ob.build_P(gr.SimilarityMatrix(vals, valid), ids)
+    target = ob.build_P(packed_similarity(vals, valid), ids)
     p_mat, vmask = target.p, target.weights == 1
     aff = np.zeros((8, 8))
     for a in range(8):

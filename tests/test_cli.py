@@ -594,6 +594,18 @@ def test_module_entry_point_prints_help():
     assert "graph-stats" in done.stdout
 
 
+def test_cli_import_loads_no_scipy_linalg_or_spatial():
+    # the package needs scipy.sparse alone; scipy.linalg and scipy.spatial
+    # each add several MB to every process that loads them
+    probe = ("import sys, magnetkit.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'linalg'], "
+             "['scipy', 'spatial'])))")
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("fields", [dm.FIELDS_PER_WRITE, 16, 1])
 def test_embedding_csv_bytes_match_per_row_writer(tmp_path, monkeypatch,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from magnetkit import cli
 from magnetkit import datamodel as dm
 from magnetkit import graph as gr
-from oracles import check_edges, export_edges_csv
+from magnetkit import objective as ob
+from oracles import (check_edges, dense_similarity, export_edges_csv,
+                     packed_similarity)
 
 
 def make_ds(rng, n=10, m=3, d=4, mask=None):
@@ -69,15 +72,15 @@ def outer_mask_similarity(ds):
     return values, valid
 
 
-def brute_best_neighbor(sims, u, allowed=None):
+def brute_best_neighbor(values, valid, u, allowed=None):
     best, best_sim = None, -np.inf
-    for v in range(len(sims.values)):
-        if v == u or not sims.valid[u, v]:
+    for v in range(len(values)):
+        if v == u or not valid[u, v]:
             continue
         if allowed is not None and not allowed[v]:
             continue
-        if sims.values[u, v] > best_sim:
-            best, best_sim = v, sims.values[u, v]
+        if values[u, v] > best_sim:
+            best, best_sim = v, values[u, v]
     return best
 
 
@@ -85,9 +88,9 @@ def brute_build_graph(ds, sims, rate):
     """Edge-list and per-node loop construction: threshold, then reconnect
     each initially isolated node (ascending) unless its pair repeats."""
     n = ds.n_patients
-    cand = [(u, v) for u in range(n) for v in range(u + 1, n)
-            if sims.valid[u, v]]
-    cs = np.array([sims.values[u, v] for u, v in cand])
+    values, valid = dense_similarity(sims)
+    cand = [(u, v) for u in range(n) for v in range(u + 1, n) if valid[u, v]]
+    cs = np.array([values[u, v] for u, v in cand])
     beta = -np.inf
     if len(cs) and rate > 0:
         rank = min(max(math.ceil(rate * len(cs)), 1), len(cs))
@@ -100,13 +103,13 @@ def brute_build_graph(ds, sims, rate):
         deg[a] += 1
         deg[b] += 1
     for u in np.where(deg == 0)[0]:
-        best = brute_best_neighbor(sims, u)
+        best = brute_best_neighbor(values, valid, u)
         if best is None:
             raise gr.GraphError(f"node {u} has no valid neighbor to reconnect to")
         pair = (min(u, best), max(u, best))
         if pair not in edges:
             edges.append(pair)
-            svals.append(float(sims.values[pair]))
+            svals.append(float(values[pair]))
             recon.append(True)
     return (np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(svals),
             np.array(recon, dtype=bool))
@@ -116,6 +119,7 @@ def brute_inductive_filter(g, sims, nodes):
     """Loop version of `graph.inductive_filter`: the edges between two of
     `nodes`, reconnection among them, then each node renamed by its place
     in `nodes`."""
+    values, valid = dense_similarity(sims)
     is_train = np.zeros(g.n_nodes, dtype=bool)
     is_train[nodes] = True
     keep = [is_train[u] and is_train[v] for u, v in g.edges]
@@ -126,13 +130,13 @@ def brute_inductive_filter(g, sims, nodes):
     for u in range(g.n_nodes):
         if not is_train[u] or u in touched:
             continue
-        best = brute_best_neighbor(sims, u, allowed=is_train)
+        best = brute_best_neighbor(values, valid, u, allowed=is_train)
         if best is None:
             continue
         pair = (min(u, best), max(u, best))
         if pair not in edges:
             edges.append(pair)
-            svals.append(float(sims.values[pair]))
+            svals.append(float(values[pair]))
             recon.append(True)
     label = {int(u): i for i, u in enumerate(nodes)}
     edges = [(label[u], label[v]) for u, v in edges]
@@ -146,7 +150,7 @@ def train_nodes(tags, side=(dm.TRAIN, dm.VAL)):
 
 
 def all_valid(n):
-    return gr.SimilarityMatrix(values=np.eye(n), valid=np.ones((n, n), bool))
+    return packed_similarity(np.eye(n))
 
 
 def assert_same_arrays(g, ref):
@@ -159,10 +163,10 @@ def test_similarity_matches_brute_force():
     rng = np.random.default_rng(0)
     for trial in range(5):
         ds = make_ds(rng, n=12)
-        sims = gr.pairwise_similarity(ds)
+        values, valid = dense_similarity(gr.pairwise_similarity(ds))
         ref_values, ref_valid = brute_similarity(ds)
-        assert np.array_equal(sims.valid, ref_valid)
-        assert np.allclose(sims.values[ref_valid], ref_values[ref_valid],
+        assert np.array_equal(valid, ref_valid)
+        assert np.allclose(values[ref_valid], ref_values[ref_valid],
                            atol=1e-12)
 
 
@@ -184,8 +188,9 @@ def test_similarity_bit_equal_to_outer_mask_version(seed, n, m, d, mask_rate):
                               class_count=3)
     sims = gr.pairwise_similarity(ds)
     values, valid = outer_mask_similarity(ds)
-    assert np.array_equal(sims.values, values)
-    assert np.array_equal(sims.valid, valid)
+    upper = np.triu_indices(n, k=1)
+    assert np.array_equal(sims.values, values[upper])
+    assert np.array_equal(sims.valid, valid[upper])
 
 
 def test_similarity_identical_patients():
@@ -194,7 +199,7 @@ def test_similarity_identical_patients():
                               mask=np.ones((2, 1), dtype=int),
                               modality_names=["m"], class_count=2)
     sims = gr.pairwise_similarity(ds)
-    assert sims.values[0, 1] == pytest.approx(1.0)
+    assert sims.values.tolist() == [pytest.approx(1.0)]
 
 
 def test_similarity_zero_norm_contributes_zero():
@@ -205,14 +210,14 @@ def test_similarity_zero_norm_contributes_zero():
                               modality_names=["a", "b"], class_count=2)
     sims = gr.pairwise_similarity(ds)
     # modality a cosine = 0 (zero vector), modality b cosine = 1 -> mean 0.5
-    assert sims.values[0, 1] == pytest.approx(0.5)
+    assert sims.values.tolist() == [pytest.approx(0.5)]
 
 
 def test_similarity_no_shared_modality_invalid():
     mask = np.array([[1, 0], [0, 1]])
     ds = make_ds(np.random.default_rng(1), n=2, m=2, mask=mask)
     sims = gr.pairwise_similarity(ds)
-    assert not sims.valid[0, 1]
+    assert sims.valid.tolist() == [False]
 
 
 def test_quantile_threshold_nearest_rank():
@@ -238,8 +243,9 @@ def test_build_graph_keeps_strictly_above_threshold():
     recon_edges = g.edges[g.reconnection]
     assert all(2 in e for e in recon_edges.tolist())
     # reconnection edges carry the true similarity, not the threshold
+    values, _ = dense_similarity(sims)
     for (u, v), s, r in zip(g.edges, g.similarities, g.reconnection):
-        assert s == pytest.approx(sims.values[u, v])
+        assert s == pytest.approx(values[u, v])
 
 
 def test_build_graph_rate_zero_keeps_all_valid_pairs():
@@ -247,8 +253,7 @@ def test_build_graph_rate_zero_keeps_all_valid_pairs():
     ds = make_ds(rng, n=8)
     sims = gr.pairwise_similarity(ds)
     g = gr.build_graph(ds, sims, sparsity_rate=0.0)
-    iu, iv = np.triu_indices(8, k=1)
-    assert len(g.edges) == int(sims.valid[iu, iv].sum())
+    assert len(g.edges) == int(sims.valid.sum())
 
 
 def test_build_graph_invalid_rate():
@@ -272,11 +277,12 @@ def test_graph_invariants(seed, rate):
     # no self-loops, no duplicates (PatientGraph validates), u < v ordering
     assert np.all(g.edges[:, 0] < g.edges[:, 1])
     # every edge joins a valid (shared-modality) pair
-    assert all(sims.valid[u, v] for u, v in g.edges)
+    _, valid = dense_similarity(sims)
+    assert all(valid[u, v] for u, v in g.edges)
     # no isolated nodes after reconnection
     assert np.all(g.degrees() >= 1)
-    # symmetry of the underlying similarity
-    assert np.allclose(sims.values, sims.values.T, atol=1e-12)
+    # each pair once, so the similarity is symmetric by construction
+    assert len(sims.values) == len(sims.valid) == n * (n - 1) // 2
 
 
 def test_directed_doubles_edges():
@@ -351,10 +357,9 @@ def test_inductive_filter_reconnects_within_train_side():
     # node 1 only connects across the boundary; after filtering it must be
     # reconnected to its best train-side neighbor (node 0)
     tags = np.array(["train", "train", "test"])
-    sims = gr.SimilarityMatrix(values=np.array([[1.0, 0.4, 0.2],
-                                                [0.4, 1.0, 0.95],
-                                                [0.2, 0.95, 1.0]]),
-                               valid=np.ones((3, 3), dtype=bool))
+    sims = packed_similarity([[1.0, 0.4, 0.2],
+                              [0.4, 1.0, 0.95],
+                              [0.2, 0.95, 1.0]])
     g = gr.PatientGraph(n_nodes=3, edges=np.array([[1, 2]]),
                         similarities=np.array([0.95]),
                         reconnection=np.zeros(1, dtype=bool))
@@ -476,6 +481,76 @@ def test_build_and_filter_match_loop_oracles(seed, rate, mask_rate, rounded):
         assert_same_arrays(got, brute_inductive_filter(g, sims, nodes))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]),
+       st.floats(0.0, 0.8), st.booleans())
+def test_tiled_setup_matches_dense_oracles(seed, rate, mask_rate, rounded):
+    """With 7-row tiles, the similarity build, the edge read-out, the
+    reconnection reads and P's fill all cross tile boundaries; high rates
+    leave many isolated nodes, so the rows gathered for reconnection span
+    several tiles."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    m = int(rng.integers(1, 4))
+    mods = [rng.normal(size=(n, 3)) for _ in range(m)]
+    if rounded:
+        mods = [np.round(x) for x in mods]
+    mask = (rng.random((n, m)) >= mask_rate).astype(int)
+    mask[mask.sum(axis=1) == 0, 0] = 1
+    ds = dm.MultiomicsDataset(modalities=mods, labels=rng.integers(0, 3, size=n),
+                              mask=mask, modality_names=[f"m{i}" for i in range(m)],
+                              class_count=3)
+    nodes = train_nodes(rng.choice(["train", "validation", "test"], size=n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "SIM_TILE", 7)
+        sims = gr.pairwise_similarity(ds)
+        values, valid = dense_similarity(sims)
+        ref_values, ref_valid = outer_mask_similarity(ds)
+        assert np.array_equal(valid, ref_valid)
+        assert np.max(np.abs(values - ref_values)) <= 1e-12
+
+        try:
+            ref = brute_build_graph(ds, sims, rate)
+        except gr.GraphError as exc:
+            with pytest.raises(gr.GraphError, match=f"^{exc}$"):
+                gr.build_graph(ds, sims, rate)
+            return
+        g = gr.build_graph(ds, sims, rate)
+        assert_same_arrays(g, ref)
+        got = gr.inductive_filter(g, sims, nodes)
+        assert_same_arrays(got, brute_inductive_filter(g, sims, nodes))
+
+        pair = valid[np.ix_(nodes, nodes)]
+        np.fill_diagonal(pair, False)
+        if not pair.any():
+            return
+        target = ob.build_P(sims, nodes)
+    aff = np.where(pair, (1.0 + values[np.ix_(nodes, nodes)]) / 2.0, 0.0)
+    ref_p = aff / aff.sum() if aff.sum() > 0 else pair / pair.sum()
+    assert np.max(np.abs(target.p - ref_p)) <= 1e-12
+    assert np.array_equal(target.weights, pair.astype(float))
+
+
+def test_similarity_and_graph_memory_is_bounded():
+    # the patients2000 benchmark data at N = 2000: the packed triangle is
+    # N^2 / 2 floats, and the build and the edge read-out work in tiles
+    n = 2000
+    ds = dm.apply_scenario(dm.gen_clusters(n=n, clusters=5, modalities=3,
+                                           seed=1),
+                           dm.ScenarioSpec(kind="random_mask", ratio=0.4,
+                                           seed=1))
+    prepped, _ = dm.split_and_preprocess(ds, 1)
+    tracemalloc.start()
+    try:
+        g = gr.build_graph(prepped, gr.pairwise_similarity(prepped), 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) > 0
+    assert peak < 1.5 * n * n * 8
+
+
 def test_reconnection_tie_goes_to_lowest_index():
     # after filtering, nodes 0 and 3 are isolated; node 0 ties between nodes
     # 2 and 3 (node 1 is invalid for it), node 3 picks node 0
@@ -486,7 +561,7 @@ def test_reconnection_tie_goes_to_lowest_index():
                        [0.9, 0.1, 0.1, 0.1, 1.0]])
     valid = np.ones((5, 5), dtype=bool)
     valid[0, 1] = valid[1, 0] = False
-    sims = gr.SimilarityMatrix(values=values, valid=valid)
+    sims = packed_similarity(values, valid)
     g = gr.PatientGraph(n_nodes=5, edges=np.array([[1, 2], [0, 4]]),
                         similarities=np.array([0.9, 0.9]),
                         reconnection=np.zeros(2, dtype=bool))

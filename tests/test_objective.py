@@ -9,14 +9,8 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from oracles import (add_parameter, alignment_target, build_Q, constant,
-                     grad_check, kl_loss, kl_target, matmul, student_t_kl)
-
-
-def sims_from_values(values, valid=None):
-    values = np.asarray(values, dtype=float)
-    if valid is None:
-        valid = np.ones_like(values, dtype=bool)
-    return gr.SimilarityMatrix(values=values, valid=np.asarray(valid))
+                     dense_similarity, grad_check, kl_loss, kl_target, matmul,
+                     packed_similarity, student_t_kl)
 
 
 def brute_ce(logits, labels):
@@ -75,7 +69,7 @@ def test_ce_matches_brute_force():
 
 
 def test_build_P_single_pair():
-    sims = sims_from_values([[1.0, 1.0], [1.0, 1.0]])
+    sims = packed_similarity([[1.0, 1.0], [1.0, 1.0]])
     target = ob.build_P(sims, [0, 1])
     p, valid = target.p, target.weights == 1
     assert p[0, 1] == pytest.approx(0.5)  # two ordered pairs share the mass
@@ -85,7 +79,7 @@ def test_build_P_single_pair():
 
 def test_build_P_orthogonal_patients_uniform():
     vals = np.eye(3)
-    target = ob.build_P(sims_from_values(vals), [0, 1, 2])
+    target = ob.build_P(packed_similarity(vals), [0, 1, 2])
     p, valid = target.p, target.weights == 1
     off = p[valid]
     assert np.allclose(off, 1.0 / 6.0)
@@ -100,7 +94,7 @@ def test_build_P_matches_brute_force():
     valid[np.arange(6), np.arange(6)] = True
     valid[0, 1] = valid[1, 0] = True  # keep at least one valid pair
     ids = [0, 1, 3, 5]
-    p = ob.build_P(sims_from_values(vals, valid), ids).p
+    p = ob.build_P(packed_similarity(vals, valid), ids).p
     ref = brute_P(vals, valid, ids)
     assert np.allclose(p, ref, atol=1e-12)
     assert abs(p.sum() - 1.0) < 1e-9
@@ -110,7 +104,7 @@ def test_build_P_matches_brute_force():
 def test_build_P_all_invalid_raises():
     valid = np.eye(2, dtype=bool)
     with pytest.raises(ob.ObjectiveError):
-        ob.build_P(sims_from_values(np.eye(2), valid), [0, 1])
+        ob.build_P(packed_similarity(np.eye(2), valid), [0, 1])
 
 
 def test_build_Q_identical_embeddings_uniform():
@@ -341,10 +335,11 @@ def test_alignment_target_keeps_build_P_output_bitwise(dtype):
         dm.ScenarioSpec(kind="random_mask", ratio=0.6, seed=2))
     sims = gr.pairwise_similarity(ds)
     assert not sims.valid.all()
+    values, valid = dense_similarity(sims)
     idx = np.arange(3, 80)
-    valid = sims.valid[np.ix_(idx, idx)]
+    valid = valid[np.ix_(idx, idx)]
     np.fill_diagonal(valid, False)
-    aff = np.where(valid, (1.0 + sims.values[np.ix_(idx, idx)]) / 2.0, 0.0)
+    aff = np.where(valid, (1.0 + values[np.ix_(idx, idx)]) / 2.0, 0.0)
     aff /= aff.sum()
     old = alignment_target(aff, valid, dtype)
     target = ob.build_P(sims, idx, dtype)
@@ -366,7 +361,7 @@ def test_kl_alignment_f32_matches_f64():
     rng = np.random.default_rng(9)
     valid = ~np.eye(8, dtype=bool)
     valid[2, 5] = False
-    sims = sims_from_values(np.clip(rng.normal(size=(8, 8)), -1, 1), valid)
+    sims = packed_similarity(np.clip(rng.normal(size=(8, 8)), -1, 1), valid)
     ids = np.arange(8)
     t64 = ob.build_P(sims, ids)
     t32 = ob.build_P(sims, ids, np.float32)

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from magnetkit import datamodel as dm
 from magnetkit import fusion as fu
 from magnetkit import graph as gr
 from magnetkit import numerics as nm
+from magnetkit import objective as ob
 from magnetkit import trainer as tr
 from oracles import add_parameter, full_view_loss
 
@@ -187,6 +189,39 @@ def test_train_kl_logged_zero_when_disabled():
     cfg = tr.RunConfig(seed=4, **{**FAST, "lam": 0.0})
     _, report = tr.train(ds, cfg, assignment)
     assert all(row[2] == 0.0 for row in report.loss_log)
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_train_frees_P_and_the_tape_before_the_train_evaluation(monkeypatch,
+                                                                epochs):
+    # P, W and the last epoch's tape are no longer alive when `train` builds
+    # the full view and scores the training split
+    ds, assignment = prepared(seed=3)
+    cfg = tr.RunConfig(seed=3, **{**FAST, "epochs": epochs})
+    refs = []
+    build_P, total_loss, evaluate = ob.build_P, ob.total_loss, tr.evaluate
+
+    def kept_P(*args):
+        target = build_P(*args)
+        refs.extend([weakref.ref(target.p), weakref.ref(target.weights)])
+        return target
+
+    def kept_total(*args):
+        out = total_loss(*args)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    def checked_evaluate(*args, **kwargs):
+        assert refs and all(ref() is None for ref in refs)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ob, "build_P", kept_P)
+    monkeypatch.setattr(ob, "total_loss", kept_total)
+    monkeypatch.setattr(tr, "evaluate", checked_evaluate)
+    _, report = tr.train(ds, cfg, assignment)
+    assert len(refs) == 2 + epochs
+    assert len(report.loss_log) == epochs
+    assert report.final_train_metrics["accuracy"] >= 0.0
 
 
 def test_train_diverges_cleanly_on_huge_learning_rate():
