@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -96,7 +97,6 @@ def cmd_gen(args):
     if args.scenario == "none" and args.ratio != 0.0:
         raise dm.DataError("--ratio needs a --scenario")
     intact = _intact_modality(args)
-    os.makedirs(args.out, exist_ok=True)
     m = args.modalities
     if args.preset == "intersim-like":
         ds = dm.gen_clusters(n=args.n, clusters=args.clusters,
@@ -173,8 +173,10 @@ def cmd_train(args):
     emb_path = os.path.join(args.out, "Z_final.csv")
     _write_embeddings_csv(emb_path, prepped.patient_ids, result["embeddings"])
     report_path = os.path.join(args.out, "report.json")
+    train_split = tr.evaluate(trained, prepped, assignment, dm.TRAIN)
     with open(report_path, "w") as fh:
-        json.dump({"report": report.to_dict(),
+        json.dump({"report": {**dataclasses.asdict(report),
+                              "final_train_metrics": train_split["metrics"]},
                    "test_metrics": result["metrics"]}, fh, indent=2)
     _write_manifest(args.out, config.to_dict(), config.seed,
                     [params_path, losses_path, att_path, emb_path, report_path])
@@ -214,8 +216,7 @@ def _rebuild_trained(params_path):
                                                    config)))
     params = gnn.init_model(dims, meta["n_classes"], config, values=values)
     trained = tr.TrainedModel(params=params, config=config, feature_dims=dims,
-                              n_classes=meta["n_classes"],
-                              report=tr.TrainReport())
+                              n_classes=meta["n_classes"])
     return trained, meta
 
 

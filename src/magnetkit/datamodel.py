@@ -357,8 +357,8 @@ def gen_clusters(n=500, clusters=15, modalities=3, dims=(100, 100, 60),
     Cluster sizes vary (Dirichlet draw, floor of 5 per cluster) so minority
     clusters survive a stratified 7:1:2 split.
     """
-    if clusters > n:
-        raise DataError("more clusters than samples")
+    if not 1 <= clusters <= n:
+        raise DataError(f"clusters must be in [1, n = {n}], not {clusters}")
     if modalities < 1:
         raise DataError("modalities must be at least 1")
     if len(dims) != modalities:
@@ -391,6 +391,9 @@ def gen_scalability(n=500, modalities=2, features_per_modality=1000, seed=0,
     """Binary-class dataset with a configurable number of equally wide modalities."""
     if not (2 <= modalities <= 10):
         raise DataError("modalities must be in [2, 10]")
+    if n < 1 or features_per_modality < 1:
+        raise DataError(f"sizes must be at least 1: n = {n}, "
+                        f"features_per_modality = {features_per_modality}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=n)
     mats = []

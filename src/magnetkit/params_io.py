@@ -12,6 +12,7 @@ MAGIC = b"MGKT"
 VERSION = 1
 
 _DTYPES = {"f8": np.float64, "f4": np.float32}
+_CODES = {np.dtype(t): code.encode("ascii") for code, t in _DTYPES.items()}
 
 
 class ParamsIOError(ValueError):
@@ -31,8 +32,7 @@ def save_params(path, values, meta=None):
         fh.write(struct.pack("<I", len(values)))
         for name in sorted(values):
             arr = np.ascontiguousarray(values[name])
-            code = {np.dtype(np.float64): b"f8",
-                    np.dtype(np.float32): b"f4"}.get(arr.dtype)
+            code = _CODES.get(arr.dtype)
             if code is None:
                 raise ParamsIOError(f"unsupported dtype {arr.dtype} for {name!r}")
             nb = name.encode("utf-8")

@@ -179,10 +179,6 @@ class TrainReport:
     train_label_reads: int = 0
     label_violations: int = 0
     crossing_edges_in_train_view: int = 0
-    final_train_metrics: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,6 @@ class TrainedModel:
     config: RunConfig
     feature_dims: list
     n_classes: int
-    report: TrainReport
     # the training dataset's EvalInputs from ``train``; None for a model
     # loaded from a params file
     eval_inputs: EvalInputs | None = None
@@ -216,9 +211,9 @@ class TrainedModel:
 
 
 def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
-    """Full training per the inductive protocol.
+    """Full training per the inductive protocol; it scores no split.
 
-    The graph is built once. The epoch loop reads the training side alone:
+    The graph is built once. The epoch loop reads ``train_side`` alone:
     its induced subgraph and its rows of the encoder inputs. The model keeps
     the full graph, its view and the encoder inputs as the dataset's
     EvalInputs for ``evaluate``. The input-space pair distribution P is
@@ -261,17 +256,15 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
                            config, epoch, rng)
         report.loss_log.append(row)
     report.train_seconds = time.perf_counter() - started
-    del tape, target  # and P and W: the evaluation below needs none of them
+    del tape, target  # and P and W, so the full view below reuses their pages
     report.train_label_reads = guard.reads
     report.label_violations = guard.violations
 
     trained = TrainedModel(params=params, config=config,
                            feature_dims=[x.shape[1] for x in ds.modalities],
-                           n_classes=ds.class_count, report=report,
+                           n_classes=ds.class_count,
                            eval_inputs=EvalInputs(ds, g, _view(g, config),
                                                   inputs))
-    report.final_train_metrics = evaluate(trained, ds, split_assignment,
-                                          dm.TRAIN, train_side)["metrics"]
     return trained, report
 
 
@@ -309,15 +302,16 @@ def _eval_inputs(ds, config):
                       fu.ObservedRows.of(ds.modalities, ds.mask, config.dtype))
 
 
-def evaluate(trained, ds, split_assignment, split_name,
-             train_side=(dm.TRAIN, dm.VAL)):
+def evaluate(trained, ds, split_assignment, split_name):
     """Metrics on one split using the full-mode graph (crossing edges restored)
-    so held-out nodes receive neighborhood messages. Dropout disabled. The
-    graph and the encoder inputs depend on the data alone, so the
-    EvalInputs ``train`` kept are reused when ``ds`` is the dataset object
-    it trained on; any other dataset gets its own."""
+    so held-out nodes receive neighborhood messages; the train split is the
+    training and validation rows. Dropout disabled. The graph and the encoder
+    inputs depend on the data alone, so the EvalInputs ``train`` kept are
+    reused when ``ds`` is the dataset object it trained on; any other dataset
+    gets its own."""
     config = trained.config
-    names = {dm.TRAIN: train_side, dm.VAL: (dm.VAL,), dm.TEST: (dm.TEST,)}
+    names = {dm.TRAIN: (dm.TRAIN, dm.VAL), dm.VAL: (dm.VAL,),
+             dm.TEST: (dm.TEST,)}
     if split_name not in names:
         raise ConfigError(f"unknown split {split_name!r}")
     idx = split_assignment.indices(*names[split_name])
@@ -361,7 +355,7 @@ def _fit_and_score(ds, config, split_assignment, split_name,
     its report and the split's metrics."""
     trained, report = train(ds, config, split_assignment, train_side)
     return trained, report, evaluate(trained, ds, split_assignment,
-                                     split_name, train_side)["metrics"]
+                                     split_name)["metrics"]
 
 
 def _row(head, metrics):

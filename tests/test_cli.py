@@ -113,6 +113,22 @@ def test_gen_modalities_below_one_is_config_error(tmp_path, capsys, preset,
     assert "modalities must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--clusters", 0], "clusters must be in [1, n = 500], not 0"),
+    (["gen", "--clusters", -2, "--n", 10],
+     "clusters must be in [1, n = 10], not -2"),
+    (["gen", "--preset", "scalability", "--n", 0],
+     "sizes must be at least 1: n = 0, features_per_modality = 1000"),
+    (["bench", "--features", -1, "--modalities", "2,3", "--repeats", 1],
+     "features_per_modality = -1"),
+], ids=["clusters-0", "clusters-negative", "scalability-n-0",
+        "features-negative"])
+def test_generator_size_below_one_is_config_error(tmp_path, capsys, argv,
+                                                  message):
+    assert run([*argv, "--out", tmp_path / "g"]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_gen_ratio_without_scenario_is_config_error(tmp_path, capsys):
     code = run(["gen", "--n", 40, "--clusters", 2, "--ratio", 0.5,
                 "--out", tmp_path / "g"])
@@ -164,6 +180,21 @@ def test_train_then_eval_pipeline(tmp_path, bundle, config_file):
     # eval reproduces the metrics recorded at train time
     report = json.loads((out / "report.json").read_text())
     assert metrics == report["test_metrics"]
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_train_report_holds_the_eval_train_split_metrics(tmp_path, bundle,
+                                                         config_file,
+                                                         precision):
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", bundle, "--config", config_file,
+                "--precision", precision, "--out", out]) == cli.EXIT_OK
+    assert run(["eval", "--dataset", bundle, "--params", out / "params.bin",
+                "--split", "train", "--out", tmp_path / "e"]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert list(report)[-1] == "final_train_metrics"
+    metrics = json.loads((tmp_path / "e" / "metrics_train.json").read_text())
+    assert report["final_train_metrics"] == metrics
 
 
 def test_eval_missing_params_is_config_error(tmp_path, bundle):

@@ -158,7 +158,8 @@ def test_train_separable_two_clusters_perfect_train_accuracy():
     cfg = tr.RunConfig(seed=0, epochs=60, **{k: v for k, v in FAST.items()
                                              if k != "epochs"})
     trained, report = tr.train(ds, cfg, assignment)
-    assert report.final_train_metrics["accuracy"] == 1.0
+    train = tr.evaluate(trained, ds, assignment, dm.TRAIN)["metrics"]
+    assert train["accuracy"] == 1.0
     assert report.label_violations == 0
     assert report.crossing_edges_in_train_view == 0
     assert len(report.loss_log) == 60
@@ -191,15 +192,31 @@ def test_train_kl_logged_zero_when_disabled():
     assert all(row[2] == 0.0 for row in report.loss_log)
 
 
+def test_train_scores_no_split(monkeypatch):
+    # training ends once the model's EvalInputs are built; scoring a split
+    # is the caller's step
+    ds, assignment = prepared(seed=3)
+    cfg = tr.RunConfig(seed=3, **{**FAST, "epochs": 3})
+
+    def scored(*args, **kwargs):
+        raise AssertionError("train scored a split")
+
+    monkeypatch.setattr(tr, "evaluate", scored)
+    monkeypatch.setattr(tr.evalkit, "full_bundle", scored)
+    trained, report = tr.train(ds, cfg, assignment)
+    assert len(report.loss_log) == 3
+    assert trained.eval_inputs.dataset is ds
+
+
 @pytest.mark.parametrize("epochs", [0, 3])
-def test_train_frees_P_and_the_tape_before_the_train_evaluation(monkeypatch,
-                                                                epochs):
-    # P, W and the last epoch's tape are no longer alive when `train` builds
-    # the full view and scores the training split
+def test_train_frees_P_and_the_tape_before_the_full_view(monkeypatch, epochs):
+    # P, W and every epoch's tape are no longer alive when `train` builds
+    # the full graph's view, and the model keeps none of them
     ds, assignment = prepared(seed=3)
     cfg = tr.RunConfig(seed=3, **{**FAST, "epochs": epochs})
-    refs = []
-    build_P, total_loss, evaluate = ob.build_P, ob.total_loss, tr.evaluate
+    refs, freed = [], []
+    build_P, total_loss = ob.build_P, ob.total_loss
+    from_graph = tr.gnn.GraphView.from_graph
 
     def kept_P(*args):
         target = build_P(*args)
@@ -211,17 +228,20 @@ def test_train_frees_P_and_the_tape_before_the_train_evaluation(monkeypatch,
         refs.append(weakref.ref(out.data))
         return out
 
-    def checked_evaluate(*args, **kwargs):
-        assert refs and all(ref() is None for ref in refs)
-        return evaluate(*args, **kwargs)
+    def checked_view(cls, g, **kwargs):
+        if g.n_nodes == ds.n_patients:
+            freed.append(all(ref() is None for ref in refs))
+        return from_graph(g, **kwargs)
 
     monkeypatch.setattr(ob, "build_P", kept_P)
     monkeypatch.setattr(ob, "total_loss", kept_total)
-    monkeypatch.setattr(tr, "evaluate", checked_evaluate)
+    monkeypatch.setattr(tr.gnn.GraphView, "from_graph",
+                        classmethod(checked_view))
     _, report = tr.train(ds, cfg, assignment)
     assert len(refs) == 2 + epochs
     assert len(report.loss_log) == epochs
-    assert report.final_train_metrics["accuracy"] >= 0.0
+    assert freed == [True]
+    assert all(ref() is None for ref in refs)
 
 
 def test_train_diverges_cleanly_on_huge_learning_rate():
@@ -310,8 +330,7 @@ def test_evaluate_reuses_the_graph_train_built(monkeypatch, precision):
     # the same weights with nothing kept, as a model loaded from file
     loaded = tr.TrainedModel(params=trained.params, config=trained.config,
                              feature_dims=trained.feature_dims,
-                             n_classes=trained.n_classes,
-                             report=tr.TrainReport())
+                             n_classes=trained.n_classes)
     with monkeypatch.context() as m:
         gathers = counted(m, fu.ObservedRows, "of")
         want = tr.evaluate(loaded, ds, assignment, dm.TEST)
@@ -408,16 +427,14 @@ def test_no_test_label_access_during_training():
     assert report.train_label_reads == len(assignment.indices(dm.TRAIN, dm.VAL))
 
 
-def test_train_metrics_score_the_rows_trained_on():
-    # trained on the training split alone, the reported train metrics
-    # leave the held-out validation rows out
+def test_evaluate_scores_train_and_validation_as_the_train_split():
+    # whatever side a model trained on, the train split is scored on the
+    # training and validation rows, as `magnetkit eval --split train` does
     ds, assignment = prepared(seed=8)
     cfg = tr.RunConfig(seed=8, **{**FAST, "epochs": 3})
-    trained, report = tr.train(ds, cfg, assignment, train_side=(dm.TRAIN,))
-    own = tr.evaluate(trained, ds, assignment, dm.TRAIN,
-                      train_side=(dm.TRAIN,))
-    assert np.array_equal(own["indices"], assignment.indices(dm.TRAIN))
-    assert report.final_train_metrics == own["metrics"]
+    trained, _ = tr.train(ds, cfg, assignment, train_side=(dm.TRAIN,))
+    own = tr.evaluate(trained, ds, assignment, dm.TRAIN)
+    assert np.array_equal(own["indices"], assignment.indices(dm.TRAIN, dm.VAL))
 
 
 def test_ablation_harness_runs_all_variants():
