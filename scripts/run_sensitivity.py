@@ -12,6 +12,7 @@ import os
 
 from magnetkit import datamodel as dm
 from magnetkit import trainer as tr
+from reproduce import PAPER  # the clustered benchmark's settings
 
 
 def write(path, rows):
@@ -31,9 +32,7 @@ def main():
     os.makedirs(args.out, exist_ok=True)
     ds = dm.gen_clusters(seed=args.seed)
     prepped, assignment = dm.split_and_preprocess(ds, args.seed)
-    config = tr.RunConfig(seed=args.seed, embed_dim=32, heads=2,
-                          encoder_hidden=64, gnn_layers=2, sparsity_rate=0.9,
-                          dropout=0.1, learning_rate=3e-3, epochs=args.epochs)
+    config = tr.RunConfig(seed=args.seed, epochs=args.epochs, **PAPER)
 
     # the lambda curve's column is named "lambda", not the field's "lam"
     lam_rows = [{"lambda": r.pop("lam"), **r} for r in tr.run_validation_sweep(

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -28,23 +27,36 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(out_dir, config, seed, artifacts, extra=None):
-    manifest = {"config": config, "seed": seed,
-                "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts}}
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+def _write_outputs(out_dir, config, files, **extra):
+    """Make ``out_dir`` once a command's results are complete, write each
+    ``(name, content)`` of ``files`` in order (a writer called with the
+    path, or else JSON), then ``manifest.json`` with the config, its seed,
+    the files' checksums in the same order and ``extra``."""
+    os.makedirs(out_dir, exist_ok=True)
+    artifacts = {}
+    for name, content in files:
+        path = os.path.join(out_dir, name)
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w") as fh:
+                json.dump(content, fh, indent=2)
+        with open(path, "rb") as fh:
+            artifacts[name] = hashlib.sha256(fh.read()).hexdigest()
+    manifest = {"config": config.to_dict(), "seed": config.seed,
+                "artifacts": artifacts, **extra}
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
-    return path
+
+
+def _check_out(out):
+    """Reject an ``--out`` that cannot become a directory (it, or the
+    nearest part of its path that exists, is a file) before any work."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise tr.ConfigError(f"--out {out}: {path} is not a directory")
 
 
 def _load_config(args, **overrides):
@@ -147,39 +159,31 @@ def _write_edges_csv(path, g):
 
 
 def cmd_train(args):
-    os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
     prepped, assignment = dm.split_and_preprocess(
         dm.load_bundle(args.dataset), config.seed, args.topk)
     trained, report = tr.train(prepped, config, assignment)
-
-    params_path = os.path.join(args.out, "params.bin")
-    params_io.save_params(params_path, trained.values, meta={
-        "config": config.to_dict(),
-        "feature_dims": trained.feature_dims,
-        "n_classes": trained.n_classes,
-        "split_seed": config.seed,
-        "topk": args.topk,
-    })
-    losses_path = os.path.join(args.out, "losses.csv")
-    _write_csv(losses_path,
-               [dict(zip(("epoch", "ce", "kl", "total", "lr"), row))
-                for row in report.loss_log],
-               ["epoch", "ce", "kl", "total", "lr"])
     result = tr.evaluate(trained, prepped, assignment, dm.TEST)
-    att_path = os.path.join(args.out, "attention.csv")
-    _write_attention_csv(att_path, result["attention"], prepped.patient_ids,
-                         prepped.modality_names)
-    emb_path = os.path.join(args.out, "Z_final.csv")
-    _write_embeddings_csv(emb_path, prepped.patient_ids, result["embeddings"])
-    report_path = os.path.join(args.out, "report.json")
     train_split = tr.evaluate(trained, prepped, assignment, dm.TRAIN)
-    with open(report_path, "w") as fh:
-        json.dump({"report": {**dataclasses.asdict(report),
-                              "final_train_metrics": train_split["metrics"]},
-                   "test_metrics": result["metrics"]}, fh, indent=2)
-    _write_manifest(args.out, config.to_dict(), config.seed,
-                    [params_path, losses_path, att_path, emb_path, report_path])
+    meta = {"config": config.to_dict(), "feature_dims": trained.feature_dims,
+            "n_classes": trained.n_classes, "split_seed": config.seed,
+            "topk": args.topk}
+    columns = ["epoch", "ce", "kl", "total", "lr"]
+    _write_outputs(args.out, config, [
+        ("params.bin", lambda path: params_io.save_params(
+            path, trained.values, meta=meta)),
+        ("losses.csv", lambda path: _write_csv(
+            path, [dict(zip(columns, row)) for row in report.loss_log],
+            columns)),
+        ("attention.csv", lambda path: _write_attention_csv(
+            path, result["attention"], prepped.patient_ids,
+            prepped.modality_names)),
+        ("Z_final.csv", lambda path: _write_embeddings_csv(
+            path, prepped.patient_ids, result["embeddings"])),
+        ("report.json", {"report": {
+            **dataclasses.asdict(report),
+            "final_train_metrics": train_split["metrics"]},
+            "test_metrics": result["metrics"]})])
     print(json.dumps(result["metrics"], indent=2))
     return EXIT_OK
 
@@ -221,102 +225,68 @@ def _rebuild_trained(params_path):
 
 
 def cmd_eval(args):
-    os.makedirs(args.out, exist_ok=True)
     trained, meta = _rebuild_trained(args.params)
     prepped, assignment = dm.split_and_preprocess(
         dm.load_bundle(args.dataset), meta["split_seed"], meta.get("topk"))
-    result = tr.evaluate(trained, prepped, assignment, args.split)
-    metrics_path = os.path.join(args.out, f"metrics_{args.split}.json")
-    with open(metrics_path, "w") as fh:
-        json.dump(result["metrics"], fh, indent=2)
-    _write_manifest(args.out, trained.config.to_dict(), trained.config.seed,
-                    [metrics_path], extra={"split": args.split})
-    print(json.dumps(result["metrics"], indent=2))
+    metrics = tr.evaluate(trained, prepped, assignment, args.split)["metrics"]
+    _write_outputs(args.out, trained.config,
+                   [(f"metrics_{args.split}.json", metrics)],
+                   split=args.split)
+    print(json.dumps(metrics, indent=2))
     return EXIT_OK
 
 
 def cmd_ablate(args):
-    os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
     prepped, assignment = dm.split_and_preprocess(
         dm.load_bundle(args.dataset), config.seed)
     results = tr.run_ablation(prepped, config, assignment)
-    rows = []
-    for name, res in results.items():
-        row = {"variant": name, "final_loss": res["final_loss"],
-               "param_count": res["param_count"]}
-        row.update(res["test_metrics"])
-        rows.append(row)
-    cols = list(rows[0].keys())
-    table_path = os.path.join(args.out, "ablation.csv")
-    _write_csv(table_path, rows, cols)
-    _write_manifest(args.out, config.to_dict(), config.seed, [table_path])
+    rows = [{"variant": name, "final_loss": res["final_loss"],
+             "param_count": res["param_count"], **res["test_metrics"]}
+            for name, res in results.items()]
+    _write_outputs(args.out, config, [("ablation.csv", lambda path: _write_csv(
+        path, rows, list(rows[0])))])
     for row in rows:
         print(row["variant"], {k: row.get(k) for k in ("accuracy", "macro_f1")})
     return EXIT_OK
 
 
-def _sweep_task(payload):
-    (bundle_dir, kind, intact, level, rep, config_dict) = payload
-    return tr.run_scenario_point(dm.load_bundle(bundle_dir), kind, level, rep,
-                                 tr.RunConfig.from_dict(config_dict), intact)
-
-
 def cmd_sweep(args):
     intact = _intact_modality(args)
-    os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
     levels = [float(x) for x in args.levels.split(",")]
     if args.repeats < 1:
         raise tr.ConfigError("--repeats must be positive")
-    jobs = _jobs(args)
-    if jobs > 1:
-        tasks = [(args.dataset, args.scenario, intact, level,
-                  rep, config.to_dict())
-                 for level in levels for rep in range(args.repeats)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = tr.run_scenario_sweep(dm.load_bundle(args.dataset),
-                                     args.scenario, levels, args.repeats,
-                                     config, intact)
+    rows = tr.run_scenario_sweep(dm.load_bundle(args.dataset), args.scenario,
+                                 levels, args.repeats, config, intact,
+                                 jobs=_jobs(args))
     cols = sorted({k for r in rows for k in r},
                   key=lambda c: (c not in ("level", "repeat"), c))
-    curve_path = os.path.join(args.out, "sweep.csv")
-    _write_csv(curve_path, rows, cols)
     summary = tr.summarize_sweep(rows)
-    summary_path = os.path.join(args.out, "sweep_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    _write_manifest(args.out, config.to_dict(), config.seed,
-                    [curve_path, summary_path],
-                    extra={"scenario": args.scenario, "levels": levels,
-                           "repeats": args.repeats})
+    _write_outputs(args.out, config, [
+        ("sweep.csv", lambda path: _write_csv(path, rows, cols)),
+        ("sweep_summary.json", summary)],
+        scenario=args.scenario, levels=levels, repeats=args.repeats)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
 def cmd_bench(args):
-    os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
     m_values = ([int(x) for x in args.modalities.split(",")]
-                if args.modalities else list(range(2, 11)))
+                if args.modalities else dm.SCALABILITY_MODALITIES)
     rows, fit = tr.run_scalability_bench(
         config, m_values=m_values, repeats=args.repeats,
         features_per_modality=args.features)
-    bench_path = os.path.join(args.out, "bench.csv")
-    _write_csv(bench_path, rows, ["M", "repeat", "seconds"])
-    fit_path = os.path.join(args.out, "bench_fit.json")
-    with open(fit_path, "w") as fh:
-        json.dump(fit, fh, indent=2)
-    _write_manifest(args.out, config.to_dict(), config.seed,
-                    [bench_path, fit_path])
+    _write_outputs(args.out, config, [
+        ("bench.csv", lambda path: _write_csv(path, rows,
+                                              ["M", "repeat", "seconds"])),
+        ("bench_fit.json", fit)])
     print(json.dumps(fit, indent=2))
     return EXIT_OK
 
 
 def cmd_graph_stats(args):
-    os.makedirs(args.out, exist_ok=True)
     config = _load_config(args)
     prepped, assignment = dm.split_and_preprocess(
         dm.load_bundle(args.dataset), config.seed)
@@ -327,13 +297,9 @@ def cmd_graph_stats(args):
              "random_baseline": baseline, "degree": pg.degree_stats(g),
              "n_edges": int(len(g.edges)),
              "n_reconnection_edges": int(g.reconnection.sum())}
-    stats_path = os.path.join(args.out, "graph_stats.json")
-    with open(stats_path, "w") as fh:
-        json.dump(stats, fh, indent=2)
-    edges_path = os.path.join(args.out, "edges.csv")
-    _write_edges_csv(edges_path, g)
-    _write_manifest(args.out, config.to_dict(), config.seed,
-                    [stats_path, edges_path])
+    _write_outputs(args.out, config, [
+        ("graph_stats.json", stats),
+        ("edges.csv", lambda path: _write_edges_csv(path, g))])
     print(json.dumps(stats, indent=2))
     return EXIT_OK
 
@@ -414,6 +380,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (tr.ConfigError, dm.DataError, pg.GraphError,
             params_io.ParamsIOError, OSError, ValueError) as exc:

@@ -386,11 +386,20 @@ def gen_clusters(n=500, clusters=15, modalities=3, dims=(100, 100, 60),
                              modality_names=names, class_count=clusters)
 
 
+SCALABILITY_MODALITIES = range(2, 11)
+
+
+def check_scalability_modalities(modalities):
+    """Reject a modality count outside the ones gen_scalability makes."""
+    if modalities not in SCALABILITY_MODALITIES:
+        raise DataError(f"modalities must be in [{SCALABILITY_MODALITIES[0]}, "
+                        f"{SCALABILITY_MODALITIES[-1]}], not {modalities}")
+
+
 def gen_scalability(n=500, modalities=2, features_per_modality=1000, seed=0,
                     class_sep=1.0, noise_sd=1.0):
     """Binary-class dataset with a configurable number of equally wide modalities."""
-    if not (2 <= modalities <= 10):
-        raise DataError("modalities must be in [2, 10]")
+    check_scalability_modalities(modalities)
     if n < 1 or features_per_modality < 1:
         raise DataError(f"sizes must be at least 1: n = {n}, "
                         f"features_per_modality = {features_per_modality}")

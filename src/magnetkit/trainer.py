@@ -5,7 +5,9 @@ and score one split through the same step."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -241,9 +243,9 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     adam = AdamState.for_params(params.graph.flat)
 
     report = TrainReport(config=config.to_dict())
-    ends = split_assignment.tags[train_idx[g_train.edges]]  # mapped back
-    report.crossing_edges_in_train_view = int(
-        (~np.isin(ends, train_side)).any(axis=1).sum())
+    on_side = np.isin(split_assignment.tags, train_side)
+    report.crossing_edges_in_train_view = int(  # edge ends mapped back
+        (~on_side[train_idx[g_train.edges]]).any(axis=1).sum())
 
     started = time.perf_counter()
     # an epoch's tape is freed once the next one is built, so that the
@@ -394,11 +396,22 @@ def run_scenario_point(base_ds, kind, level, rep, config, intact_modality=0):
 
 
 def run_scenario_sweep(base_ds, kind, levels, repeats, config,
-                       intact_modality=0):
-    """Missingness curve: ``run_scenario_point`` per level and repeat."""
-    return [run_scenario_point(base_ds, kind, level, rep, config,
-                               intact_modality)
-            for level in levels for rep in range(repeats)]
+                       intact_modality=0, jobs=1):
+    """Missingness curve: ``run_scenario_point`` per level and repeat, in
+    (level, repeat) order, run in this process or, for ``jobs`` > 1, in a
+    pool of that many worker processes. Every level is checked before the
+    first point trains."""
+    for level in levels:
+        dm.ScenarioSpec(kind=kind, intact_modality=intact_modality,
+                        ratio=float(level))
+    point = functools.partial(run_scenario_point, base_ds, kind, config=config,
+                              intact_modality=intact_modality)
+    grid = ([level for level in levels for _ in range(repeats)],
+            [rep for _ in levels for rep in range(repeats)])
+    if jobs == 1:
+        return list(map(point, *grid))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(point, *grid))
 
 
 def summarize_sweep(rows):
@@ -413,8 +426,9 @@ def summarize_sweep(rows):
     return out
 
 
-def run_scalability_bench(config, m_values=range(2, 11), mask_p=0.5, repeats=5,
-                          n=500, features_per_modality=1000):
+def run_scalability_bench(config, m_values=dm.SCALABILITY_MODALITIES,
+                          mask_p=0.5, repeats=5, n=500,
+                          features_per_modality=1000):
     """Wall-clock training time per modality count, plus a linear fit.
 
     Each repeat sweeps every modality count, so a slow phase of the machine
@@ -426,6 +440,8 @@ def run_scalability_bench(config, m_values=range(2, 11), mask_p=0.5, repeats=5,
     m_values = list(m_values)
     if repeats < 1 or len(set(m_values)) < 2:
         raise ConfigError("a fit needs repeats and two modality counts")
+    for m in m_values:  # before the first training run
+        dm.check_scalability_modalities(m)
     timed = {}
     for rep in range(repeats):
         for i, m in enumerate(m_values):

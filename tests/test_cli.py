@@ -703,15 +703,18 @@ def test_sweep_parallel_matches_serial(tmp_path, bundle, config_file):
     assert (serial / "sweep.csv").read_text() == (par / "sweep.csv").read_text()
 
 
-def test_serial_sweep_loads_the_bundle_once(tmp_path, bundle, config_file,
-                                            monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_loads_the_bundle_once(tmp_path, bundle, config_file,
+                                     monkeypatch, jobs):
+    # in this process, whatever --jobs is; workers get the loaded dataset
     loads = []
     load = dm.load_bundle
     monkeypatch.setattr(dm, "load_bundle",
                         lambda path: loads.append(path) or load(path))
     assert run(["sweep", "--dataset", bundle, "--config", config_file,
                 "--scenario", "random_mask", "--levels", "0,0.4",
-                "--repeats", 2, "--out", tmp_path / "s"]) == cli.EXIT_OK
+                "--repeats", 2, "--jobs", jobs,
+                "--out", tmp_path / "s"]) == cli.EXIT_OK
     assert len(loads) == 1
 
 
@@ -784,6 +787,58 @@ def test_sweep_without_repeats_is_config_error(tmp_path, bundle, config_file,
                 "--repeats", repeats, "--out", tmp_path / "s"])
     assert code == cli.EXIT_CONFIG
     assert "repeats" in capsys.readouterr().err
+
+
+def fill(argv, tmp_path, bundle):
+    """``argv`` with its upper-case words replaced by paths; FILE is a file
+    that exists, and OUT and MISSING do not exist."""
+    (tmp_path / "file").write_text("")
+    paths = {"BUNDLE": bundle, "MISSING": tmp_path / "missing",
+             "OUT": tmp_path / "out", "FILE": tmp_path / "file",
+             "FILE/run": tmp_path / "file" / "run"}
+    return [paths.get(a, a) for a in argv]
+
+
+SWEEP = ["sweep", "--dataset", "BUNDLE", "--scenario", "random_mask"]
+BENCH = ["bench", "--repeats", 1, "--features", 20]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "MISSING"],
+    ["eval", "--dataset", "BUNDLE", "--params", "MISSING"],
+    ["ablate", "--dataset", "MISSING"],
+    [*SWEEP, "--repeats", 0],
+    [*SWEEP, "--levels", "0,0.9"],
+    [*BENCH, "--modalities", "2,11"],
+    ["graph-stats", "--dataset", "MISSING"],
+], ids=["train-bundle", "eval-params", "ablate-bundle", "sweep-repeats",
+        "sweep-levels", "bench-modalities", "graph-stats-bundle"])
+def test_rejected_command_leaves_no_out(tmp_path, bundle, config_file,
+                                        capsys, argv):
+    code = run(fill([*argv, "--config", config_file, "--out", "OUT"],
+                    tmp_path, bundle))
+    assert code == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [*SWEEP, "--levels", "0,0.9", "--out", "OUT"],
+    [*BENCH, "--modalities", "2,11", "--out", "OUT"],
+    ["train", "--dataset", "BUNDLE", "--out", "FILE"],
+    ["train", "--dataset", "BUNDLE", "--out", "FILE/run"],
+    [*SWEEP, "--out", "FILE"],
+], ids=["sweep-levels", "bench-modalities", "train-out-file",
+        "train-out-under-file", "sweep-out-file"])
+def test_rejected_grid_or_out_runs_no_training(tmp_path, bundle, config_file,
+                                               monkeypatch, argv):
+    calls = []
+    train = tr.train
+    monkeypatch.setattr(tr, "train",
+                        lambda *a, **k: calls.append(a) or train(*a, **k))
+    code = run(fill([*argv, "--config", config_file], tmp_path, bundle))
+    assert code == cli.EXIT_CONFIG
+    assert calls == []
 
 
 def test_thread_env_caps_jobs(monkeypatch):
