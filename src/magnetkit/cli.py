@@ -314,11 +314,12 @@ def build_parser():
         description="Missingness-aware multimodal classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int)
+    def common(p, dataset=True, config=True):
+        if config:  # eval takes its config from the params file
+            p.add_argument("--config", help="JSON config file")
+            p.add_argument("--seed", type=int)
+            p.add_argument("--precision", choices=["f32", "f64"])
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--precision", choices=["f32", "f64"])
         if dataset:
             p.add_argument("--dataset", required=True, help="dataset bundle dir")
 
@@ -342,7 +343,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate saved parameters on a split")
-    common(p)
+    common(p, config=False)
     p.add_argument("--params", required=True, help="params.bin from train")
     p.add_argument("--split", choices=["train", "validation", "test"],
                    default="test")

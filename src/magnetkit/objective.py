@@ -44,13 +44,17 @@ def ce_loss(logits, labels):
 class AlignmentTarget:
     """The constants of the alignment loss, built once per training run.
 
-    ``p`` is the N x N pair distribution P, ``weights`` is 1 on the valid
-    pairs and 0 elsewhere, both symmetric and in the run dtype; ``p_log_p``
-    is the constant sum of p log p over p > 0.
+    P and W are stored as the KL node reads them: for each row tile
+    I = i0:i0+KL_TILE of the N training rows, ``p`` holds the tile
+    ``P[I, i0:]`` in the run dtype and ``weights`` the tile ``W[I, i0:]``
+    of the symmetric matrices, so the lower triangle below the square
+    blocks on the diagonal is never stored. A W tile is bool (the valid
+    pairs) or a float weight. ``p_log_p`` is the constant sum of p log p
+    over p > 0.
     """
 
-    p: np.ndarray
-    weights: np.ndarray
+    p: tuple
+    weights: tuple
     p_log_p: float
 
 
@@ -58,31 +62,40 @@ def build_P(sims, train_ids, dtype=np.float64):
     """Input-space pairwise distribution: shift cosines to (1+cos)/2 on valid
     ordered pairs i != j, then normalize globally.
 
-    Returns the AlignmentTarget over train_ids; its valid pairs have a zero
-    diagonal. Both orders of a pair read the same packed similarity, so P
-    and W are symmetric bit for bit. W is built after P's constants, so
-    that it is not held alongside their temporaries.
+    Returns the AlignmentTarget over train_ids in the KL node's row tiles,
+    each read as one block of the packed similarity; its valid pairs have a
+    zero diagonal, and W is the block's validity. Both orders of a pair
+    read the same packed similarity, so each square block on the diagonal
+    is symmetric bit for bit. The normaliser and the sum of p log p are
+    taken in float64 tile by tile, the square block once and the columns
+    right of it twice.
     """
-    aff, valid = sims.block(train_ids, train_ids)
-    if not valid.any():
+    ids = np.asarray(train_ids, dtype=np.int64)
+    aff, weights = [], []
+    for i0 in range(0, len(ids), KL_TILE):
+        a, valid = sims.block(ids[i0:i0 + KL_TILE], ids[i0:])
+        a += 1.0
+        a /= 2.0
+        np.copyto(a, 0.0, where=~valid)
+        aff.append(a)
+        weights.append(valid)
+    if not any(valid.any() for valid in weights):
         raise ObjectiveError("no valid patient pair for the alignment loss")
-    aff += 1.0
-    aff /= 2.0
-    np.copyto(aff, 0.0, where=~valid)
-    total = aff.sum()
+    total = sum(map(_upper_sum, aff, weights))
     if total <= 0:
         # all valid pairs at cosine -1; fall back to uniform over valid pairs
-        aff = valid.astype(float)
-        total = aff.sum()
-    aff /= total
-    p = aff.astype(dtype, copy=False)
-    del aff
-    pos = p[p > 0].astype(np.float64, copy=False)
-    terms = np.log(pos)
-    terms *= pos
-    p_log_p = float(terms.sum())
-    del pos, terms
-    return AlignmentTarget(p=p, weights=valid.astype(dtype), p_log_p=p_log_p)
+        aff = [valid.astype(float) for valid in weights]
+        total = sum(map(_upper_sum, aff, weights))
+    p, p_log_p = [], 0.0
+    while aff:  # each float64 tile goes once its run-dtype copy is made
+        a = aff.pop(0)
+        a /= total
+        p.append(a.astype(dtype, copy=False))
+        pos = p[-1].astype(np.float64, copy=False)
+        p_log_p += _upper_sum(pos, np.log(pos, out=np.zeros_like(pos),
+                                          where=pos > 0))
+    return AlignmentTarget(p=tuple(p), weights=tuple(weights),
+                           p_log_p=p_log_p)
 
 
 def kl_alignment_loss(z, target):
@@ -96,19 +109,21 @@ def kl_alignment_loss(z, target):
     symmetric G = k * (P - W * k / S), dz = 4 (rowsum G * z - G z).
 
     k is symmetric, as P and W are, so the node reads only the upper
-    triangle: it walks row tiles I = i0:i0+KL_TILE against the columns i0:,
-    where the square block on the diagonal counts once and the columns to
-    its right twice, and keeps about N^2 / 2 kernel values between forward
-    and backward.
+    triangle: it walks the target's row tiles I = i0:i0+KL_TILE against the
+    columns i0:, where the square block on the diagonal counts once and the
+    columns to its right twice. It keeps about N^2 / 2 kernel values from
+    the forward to its backward, which frees them; a second backward
+    through the node raises.
     """
     p, weights = target.p, target.weights
     x = z.data
     if x.ndim != 2:
         raise nm.NumericsError("pairwise distance expects a matrix")
     n, dim = x.shape
-    if p.shape != (n, n) or weights.shape != (n, n):
-        raise nm.NumericsError(f"pair matrices {p.shape} and {weights.shape} "
-                               f"do not match {n} rows")
+    starts = range(0, n, KL_TILE)
+    shapes = [(min(KL_TILE, n - i0), n - i0) for i0 in starts]
+    if any([t.shape for t in tiles] != shapes for tiles in (p, weights)):
+        raise nm.NumericsError(f"pair tiles do not match {n} rows")
     sq = (x * x).sum(axis=1)
     ones = np.ones(n, dtype=x.dtype)
     # rows [z, 1, 1 + |z|^2] times columns [-2 z, |z|^2, 1] give 1 + d in
@@ -116,34 +131,35 @@ def kl_alignment_loss(z, target):
     # symmetric path for x @ x.T); the backward multiplies by [z, 1]
     ext = np.column_stack((x, ones, sq + 1.0))
     cols = np.vstack((-2.0 * x.T, sq, ones))
-    starts = range(0, n, KL_TILE)
     tiles = []
     cross = s = 0.0
     logs = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
-    for i0 in starts:
-        i1 = min(i0 + KL_TILE, n)
-        k = ext[i0:i1] @ cols[:, i0:]
+    for i0, p_t, w_t in zip(starts, p, weights):
+        k = ext[i0:i0 + KL_TILE] @ cols[:, i0:]
         np.maximum(k, 1.0, out=k)
-        cross += _upper_sum(p[i0:i1, i0:],
-                            np.log(k, out=logs[:k.size].reshape(k.shape)))
+        cross += _upper_sum(p_t, np.log(k, out=logs[:k.size].reshape(k.shape)))
         np.reciprocal(k, out=k)
-        s += _upper_sum(weights[i0:i1, i0:], k)
+        s += _upper_sum(w_t, k)
         tiles.append(k)
 
     def backward(g):
+        nonlocal tiles
+        if tiles is None:
+            raise nm.NumericsError("the KL node's kernel is freed after its "
+                                   "first backward")
         # products with [z, 1] give G z and rowsum G together
         xa = ext[:, :dim + 1]
         acc = np.zeros((n, dim + 1), dtype=x.dtype)
         buf = np.empty(min(KL_TILE, n) * n, dtype=x.dtype)
-        for i0, k in zip(starts, tiles):
+        for i0, k, p_t, w_t in zip(starts, tiles, p, weights):
             i1 = i0 + k.shape[0]
-            grad = np.multiply(weights[i0:i1, i0:], k,
-                               out=buf[:k.size].reshape(k.shape))
+            grad = np.multiply(w_t, k, out=buf[:k.size].reshape(k.shape))
             grad *= -1.0 / s
-            grad += p[i0:i1, i0:]
+            grad += p_t
             grad *= k
             acc[i0:i1] += grad @ xa[i0:]
             acc[i1:] += grad[:, i1 - i0:].T @ xa[i0:i1]
+        tiles = None
         dz = acc[:, dim:] * x
         dz -= acc[:, :dim]
         dz *= 4.0 * float(g)

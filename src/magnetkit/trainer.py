@@ -234,7 +234,7 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     y_train = guard.take(train_idx)
 
     target = obj.build_P(sims, train_idx, dtype) if config.lam > 0 else None
-    del sims  # N x N; the training view and P hold what they need of it
+    del sims  # N^2 / 2 pairs; the training view and P's tiles hold their part
 
     params = gnn.init_model([x.shape[1] for x in ds.modalities], ds.class_count,
                             config, rng)
@@ -251,14 +251,15 @@ def train(ds, config, split_assignment, train_side=(dm.TRAIN, dm.VAL)):
     # an epoch's tape is freed once the next one is built, so that the
     # allocator hands its pages to the next epoch instead of returning them
     # to the system (freeing it first cost ~1200 page faults per epoch on
-    # cluster500)
+    # cluster500); the KL node's kernel tiles are freed by its backward, so
+    # the kept tape holds no pair-sized array
     tape = None
     for epoch in range(config.epochs):
         row, tape = _epoch(params, adam, train_inputs, view, y_train, target,
                            config, epoch, rng)
         report.loss_log.append(row)
     report.train_seconds = time.perf_counter() - started
-    del tape, target  # and P and W, so the full view below reuses their pages
+    del tape, target  # and P's and W's tiles, so the full view reuses their pages
     report.train_label_reads = guard.reads
     report.label_violations = guard.violations
 

@@ -1,7 +1,8 @@
 """Plain-array reference versions of the alignment objective, used by the
 tests to check the differentiable code in `magnetkit.objective`, alignment
-targets built from asymmetric matrices, the Student-t KL node for
-asymmetric pair matrices, the generic tape ops and the chain-of-ops
+targets built from asymmetric matrices, the dense matrices to and from
+the targets' row tiles, the Student-t KL node for asymmetric pair
+matrices, the generic tape ops and the chain-of-ops
 oracles of the fused layer nodes, the full-view training loss that the
 training pass on the training side must match, the dense modality
 encoder, the single-component parameter builders the unit tests start
@@ -62,14 +63,36 @@ def kl_target(n, seed):
 
 def alignment_target(p, valid, dtype=np.float64):
     """`objective.AlignmentTarget` of any P and valid-pair matrix: P and W
-    stored as their symmetric parts (the loss sees them only through those,
-    its kernel being symmetric), a symmetric input kept bit for bit, and
-    the sum of p log p from the given P in ``dtype``."""
+    stored as the row tiles of their symmetric parts (the loss sees them
+    only through those, its kernel being symmetric), a symmetric input kept
+    bit for bit, and the sum of p log p from the given P in ``dtype``."""
     p = np.asarray(p, dtype=dtype)
     pos = p[p > 0].astype(np.float64, copy=False)
-    return ob.AlignmentTarget(p=_symmetric_part(p, dtype),
-                              weights=_symmetric_part(np.asarray(valid), dtype),
-                              p_log_p=float((pos * np.log(pos)).sum()))
+    return ob.AlignmentTarget(
+        p=upper_tiles(_symmetric_part(p, dtype)),
+        weights=upper_tiles(_symmetric_part(np.asarray(valid), dtype)),
+        p_log_p=float((pos * np.log(pos)).sum()))
+
+
+def upper_tiles(a):
+    """The row tiles ``a[i0:i0+KL_TILE, i0:]`` of a dense N x N matrix, the
+    layout of `objective.AlignmentTarget`."""
+    return tuple(a[i0:i0 + ob.KL_TILE, i0:].copy()
+                 for i0 in range(0, len(a), ob.KL_TILE))
+
+
+def dense_of_tiles(tiles):
+    """The symmetric N x N matrix whose row tiles are ``tiles``: each tile's
+    columns right of its square block are mirrored below the diagonal."""
+    n = tiles[0].shape[1] if tiles else 0
+    out = np.zeros((n, n), dtype=tiles[0].dtype if tiles else float)
+    i0 = 0
+    for tile in tiles:
+        i1 = i0 + tile.shape[0]
+        out[i0:i1, i0:] = tile
+        out[i1:, i0:i1] = tile[:, i1 - i0:].T
+        i0 = i1
+    return out
 
 
 def _symmetric_part(a, dtype):

@@ -18,10 +18,11 @@ from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from magnetkit import trainer as tr
 from oracles import (add, add_parameter, alignment_target, build_Q,
-                     concat_last_dim, constant, dense_similarity, einsum,
-                     grad_check, kl_loss, kl_target, log, masked_softmax,
-                     matmul, mul, packed_similarity, relu, scatter_rows,
-                     select_rows, set_values, shift, sum_all)
+                     concat_last_dim, constant, dense_of_tiles,
+                     dense_similarity, einsum, grad_check, kl_loss,
+                     kl_target, log, masked_softmax, matmul, mul,
+                     packed_similarity, relu, scatter_rows, select_rows,
+                     set_values, shift, sum_all)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,11 @@ def test_criterion_03_missingness_independence():
                                        labels=labels, mask=mask,
                                        modality_names=["a", "b"], class_count=3)
         t2 = ob.build_P(gr.pairwise_similarity(pert_ds), train_idx)
-        assert (np.array_equal(target.p, t2.p)
-                and np.array_equal(target.weights, t2.weights))
+        for name in ("p", "weights"):
+            got, want = getattr(t2, name), getattr(target, name)
+            assert len(got) == len(want)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert t2.p_log_p == target.p_log_p
         logits2, ce2, kl2 = quantities(pert)
         assert np.array_equal(base_logits, logits2)
         assert base_ce == ce2
@@ -311,7 +315,7 @@ def test_criterion_05_loss_oracles():
     valid = np.ones((8, 8), dtype=bool)
     ids = list(range(8))
     target = ob.build_P(packed_similarity(vals, valid), ids)
-    p_mat, vmask = target.p, target.weights == 1
+    p_mat, vmask = dense_of_tiles(target.p), dense_of_tiles(target.weights)
     aff = np.zeros((8, 8))
     for a in range(8):
         for b in range(8):

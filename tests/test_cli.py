@@ -203,6 +203,20 @@ def test_eval_missing_params_is_config_error(tmp_path, bundle):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag, value", [("--config", "run.json"),
+                                         ("--seed", "3"),
+                                         ("--precision", "f32")])
+def test_eval_rejects_the_train_config_flags(tmp_path, capsys, flag, value):
+    # eval takes its config from the params file, so these flags are not
+    # accepted rather than silently ignored; nothing is read or written
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--dataset", tmp_path / "data", "--params",
+             tmp_path / "params.bin", flag, value, "--out", tmp_path / "e"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_train_topk_zero_is_config_error(tmp_path, bundle, config_file,
                                          capsys):
     code = run(["train", "--dataset", bundle, "--config", config_file,
@@ -815,8 +829,9 @@ BENCH = ["bench", "--repeats", 1, "--features", 20]
         "sweep-levels", "bench-modalities", "graph-stats-bundle"])
 def test_rejected_command_leaves_no_out(tmp_path, bundle, config_file,
                                         capsys, argv):
-    code = run(fill([*argv, "--config", config_file, "--out", "OUT"],
-                    tmp_path, bundle))
+    # eval takes no --config: its config is in the params file
+    config = [] if argv[0] == "eval" else ["--config", config_file]
+    code = run(fill([*argv, *config, "--out", "OUT"], tmp_path, bundle))
     assert code == cli.EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

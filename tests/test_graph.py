@@ -9,8 +9,8 @@ from magnetkit import cli
 from magnetkit import datamodel as dm
 from magnetkit import graph as gr
 from magnetkit import objective as ob
-from oracles import (check_edges, dense_similarity, export_edges_csv,
-                     packed_similarity)
+from oracles import (check_edges, dense_of_tiles, dense_similarity,
+                     export_edges_csv, packed_similarity, upper_tiles)
 
 
 def make_ds(rng, n=10, m=3, d=4, mask=None):
@@ -528,8 +528,10 @@ def test_tiled_setup_matches_dense_oracles(seed, rate, mask_rate, rounded):
         target = ob.build_P(sims, nodes)
     aff = np.where(pair, (1.0 + values[np.ix_(nodes, nodes)]) / 2.0, 0.0)
     ref_p = aff / aff.sum() if aff.sum() > 0 else pair / pair.sum()
-    assert np.max(np.abs(target.p - ref_p)) <= 1e-12
-    assert np.array_equal(target.weights, pair.astype(float))
+    assert np.max(np.abs(dense_of_tiles(target.p) - ref_p)) <= 1e-12
+    want = upper_tiles(pair)
+    assert len(target.weights) == len(want)
+    assert all(np.array_equal(w, t) for w, t in zip(target.weights, want))
 
 
 def test_similarity_and_graph_memory_is_bounded():
@@ -549,6 +551,27 @@ def test_similarity_and_graph_memory_is_bounded():
         tracemalloc.stop()
     assert len(g.edges) > 0
     assert peak < 1.5 * n * n * 8
+
+
+def test_alignment_target_memory_is_bounded():
+    # the same data: build_P reads the training pairs in the KL node's row
+    # tiles, so its peak stays below one dense N_train x N_train float64
+    ds = dm.apply_scenario(dm.gen_clusters(n=2000, clusters=5, modalities=3,
+                                           seed=1),
+                           dm.ScenarioSpec(kind="random_mask", ratio=0.4,
+                                           seed=1))
+    prepped, assignment = dm.split_and_preprocess(ds, 1)
+    train_ids = assignment.indices(dm.TRAIN, dm.VAL)
+    n_train = len(train_ids)
+    sims = gr.pairwise_similarity(prepped)
+    tracemalloc.start()
+    try:
+        target = ob.build_P(sims, train_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(target.p) > 1
+    assert peak < n_train ** 2 * 8
 
 
 def test_reconnection_tie_goes_to_lowest_index():

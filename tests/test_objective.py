@@ -9,8 +9,9 @@ from magnetkit import graph as gr
 from magnetkit import numerics as nm
 from magnetkit import objective as ob
 from oracles import (add_parameter, alignment_target, build_Q, constant,
-                     dense_similarity, grad_check, kl_loss, kl_target, matmul,
-                     packed_similarity, student_t_kl)
+                     dense_of_tiles, dense_similarity, grad_check, kl_loss,
+                     kl_target, matmul, packed_similarity, student_t_kl,
+                     upper_tiles)
 
 
 def brute_ce(logits, labels):
@@ -71,7 +72,7 @@ def test_ce_matches_brute_force():
 def test_build_P_single_pair():
     sims = packed_similarity([[1.0, 1.0], [1.0, 1.0]])
     target = ob.build_P(sims, [0, 1])
-    p, valid = target.p, target.weights == 1
+    p, valid = dense_of_tiles(target.p), dense_of_tiles(target.weights)
     assert p[0, 1] == pytest.approx(0.5)  # two ordered pairs share the mass
     assert p[0, 0] == 0.0
     assert valid[0, 1] and not valid[0, 0]
@@ -80,7 +81,7 @@ def test_build_P_single_pair():
 def test_build_P_orthogonal_patients_uniform():
     vals = np.eye(3)
     target = ob.build_P(packed_similarity(vals), [0, 1, 2])
-    p, valid = target.p, target.weights == 1
+    p, valid = dense_of_tiles(target.p), dense_of_tiles(target.weights)
     off = p[valid]
     assert np.allclose(off, 1.0 / 6.0)
 
@@ -94,7 +95,7 @@ def test_build_P_matches_brute_force():
     valid[np.arange(6), np.arange(6)] = True
     valid[0, 1] = valid[1, 0] = True  # keep at least one valid pair
     ids = [0, 1, 3, 5]
-    p = ob.build_P(packed_similarity(vals, valid), ids).p
+    p = dense_of_tiles(ob.build_P(packed_similarity(vals, valid), ids).p)
     ref = brute_P(vals, valid, ids)
     assert np.allclose(p, ref, atol=1e-12)
     assert abs(p.sum() - 1.0) < 1e-9
@@ -105,6 +106,58 @@ def test_build_P_all_invalid_raises():
     valid = np.eye(2, dtype=bool)
     with pytest.raises(ob.ObjectiveError):
         ob.build_P(packed_similarity(np.eye(2), valid), [0, 1])
+
+
+def test_build_P_all_minus_one_falls_back_to_uniform():
+    vals = -np.ones((4, 4))
+    valid = np.ones((4, 4), dtype=bool)
+    valid[0, 3] = valid[3, 0] = False
+    target = ob.build_P(packed_similarity(vals, valid), [0, 1, 2, 3])
+    p = dense_of_tiles(target.p)
+    pair = dense_of_tiles(target.weights)
+    assert np.array_equal(p, np.where(pair, 1.0 / 10.0, 0.0))
+    assert target.p_log_p == pytest.approx(np.log(0.1), rel=1e-12)
+
+
+def assert_symmetric_blocks(tiles):
+    # the square block on the diagonal of each row tile, bit for bit
+    for tile in tiles:
+        block = tile[:, :tile.shape[0]]
+        assert block.tobytes() == np.ascontiguousarray(block.T).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([2, ob.KL_TILE - 1, ob.KL_TILE, ob.KL_TILE + 1,
+                        2 * ob.KL_TILE + 3]),
+       st.sampled_from([np.float64, np.float32]))
+def test_build_P_tiles_match_brute_force_across_tile_edges(seed, n, dtype):
+    # sizes below, at and past the row tile, on a subset of the patients
+    # in a shuffled order: the reassembled tiles are brute_P, the W tiles
+    # the valid block, and each square block on the diagonal is symmetric
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1, 1, size=(n + 3, n + 3))
+    vals = (vals + vals.T) / 2
+    valid = rng.random((n + 3, n + 3)) < 0.7
+    valid &= valid.T
+    ids = rng.permutation(n + 3)[:n]
+    valid[ids[0], ids[1]] = valid[ids[1], ids[0]] = True
+    target = ob.build_P(packed_similarity(vals, valid), ids, dtype)
+    ref = brute_P(vals, valid, ids)
+    assert all(t.dtype == dtype for t in target.p)
+    rel = 1e-12 if dtype == np.float64 else 1e-6
+    assert np.allclose(dense_of_tiles(target.p), ref, rtol=rel, atol=0)
+    pair = valid[np.ix_(ids, ids)]
+    np.fill_diagonal(pair, False)
+    want = upper_tiles(pair)
+    assert len(target.weights) == len(want)
+    for got, tile in zip(target.weights, want):
+        assert got.dtype == bool and np.array_equal(got, tile)
+    assert_symmetric_blocks(target.p)
+    assert_symmetric_blocks(target.weights)
+    pos = ref[ref > 0]
+    assert target.p_log_p == pytest.approx(float((pos * np.log(pos)).sum()),
+                                           rel=rel)
 
 
 def test_build_Q_identical_embeddings_uniform():
@@ -282,8 +335,8 @@ def test_symmetric_kl_node_matches_asymmetric_oracle(seed, n):
     p_raw = np.where(valid, rng.uniform(size=(n, n)), 0.0)
     p = p_raw / p_raw.sum()
     target = alignment_target(p, valid)
-    assert np.array_equal(target.p, target.p.T)
-    assert np.array_equal(target.weights, target.weights.T)
+    assert_symmetric_blocks(target.p)
+    assert_symmetric_blocks(target.weights)
     z0 = rng.normal(scale=2.0, size=(n, 4))
     value, grad = kl_value_and_grad(ob.kl_alignment_loss, z0, target)
     ref_value, ref_grad = kl_value_and_grad(student_t_kl, z0, p,
@@ -301,7 +354,8 @@ def test_symmetric_kl_node_matches_asymmetric_oracle(seed, n):
 def test_tiled_kl_node_matches_oracle_across_tile_edges(seed, n, dtype):
     # sizes below, at and past the row tile: partial last tiles and the
     # square blocks on the diagonal; asymmetric P and W with one-sided
-    # invalid pairs go through AlignmentTarget.of, the oracle takes them raw.
+    # invalid pairs go through the oracles' alignment_target, the oracle
+    # node takes them raw.
     # Diagonal pairs may be valid too (at n = 2 the gradient would vanish
     # with one pair only).
     rng = np.random.default_rng(seed)
@@ -327,28 +381,33 @@ def test_tiled_kl_node_matches_oracle_across_tile_edges(seed, n, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_alignment_target_keeps_build_P_output_bitwise(dtype):
-    # build_P's P and W are bitwise symmetric, and bitwise what symmetrising
-    # the affinities it normalises (the former construction) gives
+def test_alignment_target_keeps_build_P_output(dtype):
+    # build_P's P and W tiles are bitwise symmetric on their square blocks;
+    # W is bitwise, and P within a few ulps (the normaliser is summed tile
+    # by tile), what symmetrising the affinities it normalises gives
     ds = dm.apply_scenario(
-        dm.gen_clusters(n=90, clusters=3, dims=(5, 4, 6), seed=2),
+        dm.gen_clusters(n=300, clusters=3, dims=(5, 4, 6), seed=2),
         dm.ScenarioSpec(kind="random_mask", ratio=0.6, seed=2))
     sims = gr.pairwise_similarity(ds)
     assert not sims.valid.all()
     values, valid = dense_similarity(sims)
-    idx = np.arange(3, 80)
+    idx = np.arange(3, 280)
     valid = valid[np.ix_(idx, idx)]
     np.fill_diagonal(valid, False)
     aff = np.where(valid, (1.0 + values[np.ix_(idx, idx)]) / 2.0, 0.0)
     aff /= aff.sum()
     old = alignment_target(aff, valid, dtype)
     target = ob.build_P(sims, idx, dtype)
-    for name in ("p", "weights"):
-        got, want = getattr(target, name), getattr(old, name)
+    assert len(target.p) == len(old.p) > 1
+    for got, want in zip(target.p, old.p):
         assert got.dtype == want.dtype == dtype
-        assert got.tobytes() == want.tobytes(), name
-        assert got.tobytes() == np.ascontiguousarray(got.T).tobytes(), name
-    assert target.p_log_p == old.p_log_p
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    for got, want in zip(target.weights, old.weights):
+        assert got.dtype == bool
+        assert np.array_equal(got, want == 1)
+    assert_symmetric_blocks(target.p)
+    assert_symmetric_blocks(target.weights)
+    assert target.p_log_p == pytest.approx(old.p_log_p, rel=1e-13)
 
 
 def test_kl_alignment_is_one_tape_node():
@@ -365,7 +424,8 @@ def test_kl_alignment_f32_matches_f64():
     ids = np.arange(8)
     t64 = ob.build_P(sims, ids)
     t32 = ob.build_P(sims, ids, np.float32)
-    assert t32.p.dtype == t32.weights.dtype == np.float32
+    assert all(t.dtype == np.float32 for t in t32.p)
+    assert all(w.dtype == bool for w in t32.weights)
     z = rng.normal(size=(8, 3))
     l64 = ob.kl_alignment_loss(constant(z), t64)
     l32 = ob.kl_alignment_loss(constant(z.astype(np.float32)), t32)
@@ -379,7 +439,24 @@ def test_kl_alignment_shape_mismatch_raises():
         ob.kl_alignment_loss(constant(np.zeros((5, 2))), target)
     with pytest.raises(nm.NumericsError):
         ob.kl_alignment_loss(constant(np.zeros(4)), target)
-    short = ob.AlignmentTarget(p=target.p, weights=target.weights[:3],
+    short = ob.AlignmentTarget(p=target.p,
+                               weights=(target.weights[0][:3],),
                                p_log_p=target.p_log_p)
     with pytest.raises(nm.NumericsError):
         ob.kl_alignment_loss(constant(np.zeros((4, 2))), short)
+    missing = ob.AlignmentTarget(p=target.p, weights=(),
+                                 p_log_p=target.p_log_p)
+    with pytest.raises(nm.NumericsError):
+        ob.kl_alignment_loss(constant(np.zeros((4, 2))), missing)
+
+
+def test_kl_alignment_second_backward_raises():
+    # the node frees its kernel tiles after its backward, so a second
+    # backward through it is an error, not a zero gradient
+    g = nm.ComputeGraph()
+    z = add_parameter(g, "z", np.random.default_rng(10).normal(size=(4, 2)))
+    loss = ob.kl_alignment_loss(z, kl_target(4, seed=10))
+    first = g.backward(loss)["z"].copy()
+    assert np.any(first != 0)
+    with pytest.raises(nm.NumericsError, match="first backward"):
+        g.backward(loss)

@@ -210,17 +210,18 @@ def test_train_scores_no_split(monkeypatch):
 
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_train_frees_P_and_the_tape_before_the_full_view(monkeypatch, epochs):
-    # P, W and every epoch's tape are no longer alive when `train` builds
-    # the full graph's view, and the model keeps none of them
+    # every tile of P and W and every epoch's tape are no longer alive when
+    # `train` builds the full graph's view, and the model keeps none of them
     ds, assignment = prepared(seed=3)
     cfg = tr.RunConfig(seed=3, **{**FAST, "epochs": epochs})
-    refs, freed = [], []
+    refs, freed, tiles = [], [], []
     build_P, total_loss = ob.build_P, ob.total_loss
     from_graph = tr.gnn.GraphView.from_graph
 
     def kept_P(*args):
         target = build_P(*args)
-        refs.extend([weakref.ref(target.p), weakref.ref(target.weights)])
+        refs.extend(weakref.ref(t) for t in target.p + target.weights)
+        tiles.append(len(target.p) + len(target.weights))
         return target
 
     def kept_total(*args):
@@ -238,7 +239,7 @@ def test_train_frees_P_and_the_tape_before_the_full_view(monkeypatch, epochs):
     monkeypatch.setattr(tr.gnn.GraphView, "from_graph",
                         classmethod(checked_view))
     _, report = tr.train(ds, cfg, assignment)
-    assert len(refs) == 2 + epochs
+    assert len(tiles) == 1 and len(refs) == tiles[0] + epochs
     assert len(report.loss_log) == epochs
     assert freed == [True]
     assert all(ref() is None for ref in refs)
