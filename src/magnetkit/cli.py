@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration/input error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -75,20 +74,9 @@ def _load_config(args, **overrides):
     return tr.RunConfig.from_dict(doc)
 
 
-def _write_csv(path, rows, columns):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
-
-
 def _jobs(args):
-    n = getattr(args, "jobs", 1) or 1
     cap = os.environ.get("MAGNET_KIT_THREADS")
-    if cap:
-        n = min(n, int(cap))
-    return max(1, n)
+    return max(1, min(args.jobs, int(cap))) if cap else args.jobs
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,9 @@ def cmd_train(args):
         dm.load_bundle(args.dataset), config.seed, args.topk)
     trained, report = tr.train(prepped, config, assignment)
     result = tr.evaluate(trained, prepped, assignment, dm.TEST)
-    train_split = tr.evaluate(trained, prepped, assignment, dm.TRAIN)
+    # the evaluation forward does not depend on the split it scores
+    train_metrics = tr.score(prepped, tr.split_indices(assignment, dm.TRAIN),
+                             result["logits"], result["embeddings"])
     meta = {"config": config.to_dict(), "feature_dims": trained.feature_dims,
             "n_classes": trained.n_classes, "split_seed": config.seed,
             "topk": args.topk}
@@ -172,7 +162,7 @@ def cmd_train(args):
     _write_outputs(args.out, config, [
         ("params.bin", lambda path: params_io.save_params(
             path, trained.values, meta=meta)),
-        ("losses.csv", lambda path: _write_csv(
+        ("losses.csv", lambda path: dm.write_rows(
             path, [dict(zip(columns, row)) for row in report.loss_log],
             columns)),
         ("attention.csv", lambda path: _write_attention_csv(
@@ -182,7 +172,7 @@ def cmd_train(args):
             path, prepped.patient_ids, result["embeddings"])),
         ("report.json", {"report": {
             **dataclasses.asdict(report),
-            "final_train_metrics": train_split["metrics"]},
+            "final_train_metrics": train_metrics},
             "test_metrics": result["metrics"]})])
     print(json.dumps(result["metrics"], indent=2))
     return EXIT_OK
@@ -244,8 +234,8 @@ def cmd_ablate(args):
     rows = [{"variant": name, "final_loss": res["final_loss"],
              "param_count": res["param_count"], **res["test_metrics"]}
             for name, res in results.items()]
-    _write_outputs(args.out, config, [("ablation.csv", lambda path: _write_csv(
-        path, rows, list(rows[0])))])
+    _write_outputs(args.out, config, [
+        ("ablation.csv", lambda path: dm.write_rows(path, rows, list(rows[0])))])
     for row in rows:
         print(row["variant"], {k: row.get(k) for k in ("accuracy", "macro_f1")})
     return EXIT_OK
@@ -257,6 +247,8 @@ def cmd_sweep(args):
     levels = [float(x) for x in args.levels.split(",")]
     if args.repeats < 1:
         raise tr.ConfigError("--repeats must be positive")
+    if args.jobs < 1:
+        raise tr.ConfigError("--jobs must be positive")
     rows = tr.run_scenario_sweep(dm.load_bundle(args.dataset), args.scenario,
                                  levels, args.repeats, config, intact,
                                  jobs=_jobs(args))
@@ -264,7 +256,7 @@ def cmd_sweep(args):
                   key=lambda c: (c not in ("level", "repeat"), c))
     summary = tr.summarize_sweep(rows)
     _write_outputs(args.out, config, [
-        ("sweep.csv", lambda path: _write_csv(path, rows, cols)),
+        ("sweep.csv", lambda path: dm.write_rows(path, rows, cols)),
         ("sweep_summary.json", summary)],
         scenario=args.scenario, levels=levels, repeats=args.repeats)
     print(json.dumps(summary, indent=2))
@@ -279,8 +271,8 @@ def cmd_bench(args):
         config, m_values=m_values, repeats=args.repeats,
         features_per_modality=args.features)
     _write_outputs(args.out, config, [
-        ("bench.csv", lambda path: _write_csv(path, rows,
-                                              ["M", "repeat", "seconds"])),
+        ("bench.csv", lambda path: dm.write_rows(path, rows,
+                                                 ["M", "repeat", "seconds"])),
         ("bench_fit.json", fit)])
     print(json.dumps(fit, indent=2))
     return EXIT_OK

@@ -214,6 +214,14 @@ def quote(texts):
                      for t in map(str, texts)], dtype=object)
 
 
+def write_rows(path, rows, names):
+    """The dicts ``rows`` under the header ``names``, in the bytes that
+    ``csv.DictWriter(fh, names, extrasaction="ignore")`` writes (2+ names)."""
+    write_table(path, "", ",".join(["%s"] * len(names)) + "\r\n",
+                [quote([k] + ["" if r.get(k) is None else r[k] for r in rows])
+                 for k in names])
+
+
 def save_csv(ds, out_dir, manifest_extra=None):
     """Write a dataset bundle: one CSV per modality, labels, and a manifest.
     The CSVs hold the bytes ``csv.writer`` writes for the patient id and

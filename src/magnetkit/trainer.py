@@ -100,19 +100,19 @@ def learning_rate_at(config, epoch):
 
 # Elements per step of Adam's walk over the flat arrays (cache-sized).
 ADAM_CHUNK = 1 << 15
+# Adam's conventional constants.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    """First/second moments of the flat parameter array with the
-    optimizer's conventional constants (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """First/second moments of the flat parameter array and the step count."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, flat):
@@ -130,7 +130,7 @@ def adam_step(graph, state, lr):
         raise DivergenceError(f"non-finite gradient for {bad!r}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     buf = np.empty((2, min(ADAM_CHUNK, grad.size)), dtype=grad.dtype)
     for lo in range(0, grad.size, ADAM_CHUNK):
         part = slice(lo, lo + ADAM_CHUNK)
@@ -147,7 +147,7 @@ def adam_step(graph, state, lr):
         step *= lr
         np.divide(v, 1 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         graph.flat[part] -= step
 
@@ -305,14 +305,9 @@ def _eval_inputs(ds, config):
                       fu.ObservedRows.of(ds.modalities, ds.mask, config.dtype))
 
 
-def evaluate(trained, ds, split_assignment, split_name):
-    """Metrics on one split using the full-mode graph (crossing edges restored)
-    so held-out nodes receive neighborhood messages; the train split is the
-    training and validation rows. Dropout disabled. The graph and the encoder
-    inputs depend on the data alone, so the EvalInputs ``train`` kept are
-    reused when ``ds`` is the dataset object it trained on; any other dataset
-    gets its own."""
-    config = trained.config
+def split_indices(split_assignment, split_name):
+    """The patient indices of one split; the train split is the training
+    and validation rows."""
     names = {dm.TRAIN: (dm.TRAIN, dm.VAL), dm.VAL: (dm.VAL,),
              dm.TEST: (dm.TEST,)}
     if split_name not in names:
@@ -320,23 +315,37 @@ def evaluate(trained, ds, split_assignment, split_name):
     idx = split_assignment.indices(*names[split_name])
     if len(idx) == 0:
         raise ConfigError(f"split {split_name!r} is empty")
+    return idx
 
+
+def score(ds, idx, logits, embeddings):
+    """The metrics bundle of the patients ``idx``, from the logits and
+    final embeddings of one evaluation forward over all of ``ds``."""
+    lg = logits[idx]
+    shifted = lg - lg.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    preds = np.argmax(lg, axis=1)
+    return evalkit.full_bundle(ds.labels[idx], preds, probs, embeddings[idx],
+                               ds.class_count)
+
+
+def evaluate(trained, ds, split_assignment, split_name):
+    """Metrics on one split using the full-mode graph (crossing edges restored)
+    so held-out nodes receive neighborhood messages. Dropout disabled. The
+    graph and the encoder inputs depend on the data alone, so the EvalInputs
+    ``train`` kept are reused when ``ds`` is the dataset object it trained
+    on; any other dataset gets its own."""
+    config = trained.config
+    idx = split_indices(split_assignment, split_name)
     kept = trained.eval_inputs
     if kept is None or kept.dataset is not ds:
         kept = _eval_inputs(ds, config)
     logits, att, _, z_final = gnn.forward(trained.params, kept.rows, kept.view,
                                           config, training=False)
-    lg = logits.data[idx]
-    shifted = lg - lg.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    preds = np.argmax(lg, axis=1)
-    y = ds.labels[idx]
-    metrics = evalkit.full_bundle(y, preds, probs, z_final.data[idx],
-                                  ds.class_count)
-    return {"metrics": metrics, "attention": att,
-            "embeddings": z_final.data, "logits": logits.data,
-            "graph": kept.graph, "indices": idx}
+    return {"metrics": score(ds, idx, logits.data, z_final.data),
+            "attention": att, "embeddings": z_final.data,
+            "logits": logits.data, "graph": kept.graph, "indices": idx}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from magnetkit import cli, params_io
+from magnetkit import cli, gnn, params_io
 from magnetkit import datamodel as dm
 from magnetkit import trainer as tr
 from oracles import write_embeddings_csv
@@ -195,6 +195,19 @@ def test_train_report_holds_the_eval_train_split_metrics(tmp_path, bundle,
     assert list(report)[-1] == "final_train_metrics"
     metrics = json.loads((tmp_path / "e" / "metrics_train.json").read_text())
     assert report["final_train_metrics"] == metrics
+
+
+def test_train_runs_one_evaluation_forward(tmp_path, bundle, config_file,
+                                           monkeypatch):
+    # the test and training splits are scored from the same forward
+    modes = []
+    forward = gnn.forward
+    monkeypatch.setattr(gnn, "forward", lambda *a, **k: modes.append(
+        k["training"]) or forward(*a, **k))
+    assert run(["train", "--dataset", bundle, "--config", config_file,
+                "--out", tmp_path / "run"]) == cli.EXIT_OK
+    assert modes.count(False) == 1
+    assert modes.count(True) == FAST_CONFIG["epochs"]
 
 
 def test_eval_missing_params_is_config_error(tmp_path, bundle):
@@ -822,11 +835,14 @@ BENCH = ["bench", "--repeats", 1, "--features", 20]
     ["eval", "--dataset", "BUNDLE", "--params", "MISSING"],
     ["ablate", "--dataset", "MISSING"],
     [*SWEEP, "--repeats", 0],
+    [*SWEEP, "--jobs", 0],
+    [*SWEEP, "--jobs", -3],
     [*SWEEP, "--levels", "0,0.9"],
     [*BENCH, "--modalities", "2,11"],
     ["graph-stats", "--dataset", "MISSING"],
 ], ids=["train-bundle", "eval-params", "ablate-bundle", "sweep-repeats",
-        "sweep-levels", "bench-modalities", "graph-stats-bundle"])
+        "sweep-jobs-0", "sweep-jobs-negative", "sweep-levels",
+        "bench-modalities", "graph-stats-bundle"])
 def test_rejected_command_leaves_no_out(tmp_path, bundle, config_file,
                                         capsys, argv):
     # eval takes no --config: its config is in the params file
@@ -839,11 +855,14 @@ def test_rejected_command_leaves_no_out(tmp_path, bundle, config_file,
 
 @pytest.mark.parametrize("argv", [
     [*SWEEP, "--levels", "0,0.9", "--out", "OUT"],
+    [*SWEEP, "--jobs", 0, "--out", "OUT"],
+    [*SWEEP, "--jobs", -3, "--out", "OUT"],
     [*BENCH, "--modalities", "2,11", "--out", "OUT"],
     ["train", "--dataset", "BUNDLE", "--out", "FILE"],
     ["train", "--dataset", "BUNDLE", "--out", "FILE/run"],
     [*SWEEP, "--out", "FILE"],
-], ids=["sweep-levels", "bench-modalities", "train-out-file",
+], ids=["sweep-levels", "sweep-jobs-0", "sweep-jobs-negative",
+        "bench-modalities", "train-out-file",
         "train-out-under-file", "sweep-out-file"])
 def test_rejected_grid_or_out_runs_no_training(tmp_path, bundle, config_file,
                                                monkeypatch, argv):

@@ -1,10 +1,12 @@
+import csv
 import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from magnetkit import datamodel as dm
 from magnetkit import evalkit
@@ -91,6 +93,39 @@ def test_bundle_bytes_match_per_row_writer(tmp_path, monkeypatch, fields):
     for name in [*ds.modality_names, "labels"]:
         assert (tmp_path / "blocks" / f"{name}.csv").read_bytes() == \
             (tmp_path / "rows" / f"{name}.csv").read_bytes()
+
+
+CELLS = st.one_of(
+    st.none(), st.text(), st.text(alphabet=',"\r\n ab'), st.integers(),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-300, -0.0]))
+
+
+@st.composite
+def row_tables(draw):
+    """Column names, and rows that may lack a column, hold None or carry
+    keys outside the names."""
+    names = draw(st.lists(st.text(min_size=1), min_size=2, max_size=5,
+                          unique=True))
+    keys = st.sampled_from(names + ["extra"]) | st.text()
+    rows = draw(st.lists(st.dictionaries(keys, CELLS, max_size=7),
+                         max_size=6))
+    return names, rows
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=row_tables())
+@example(table=(["a", 'b,"c'], []))
+def test_write_rows_bytes_match_dict_writer(tmp_path, table):
+    names, rows = table
+    dm.write_rows(tmp_path / "rows.csv", rows, names)
+    with open(tmp_path / "dict.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=names, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    assert (tmp_path / "rows.csv").read_bytes() == \
+        (tmp_path / "dict.csv").read_bytes()
 
 
 def test_quoted_ids_roundtrip(tmp_path):

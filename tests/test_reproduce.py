@@ -85,3 +85,44 @@ def test_first_failing_command_ends_the_study(tmp_path, capsys):
                            "--out", str(out)]) == cli.EXIT_CONFIG
     assert "scenario ratio" in capsys.readouterr().err
     assert not (out / "ablation.csv").exists()
+
+
+def load_sensitivity(monkeypatch):
+    """``scripts/run_sensitivity.py`` as a module; it imports ``reproduce``
+    from its own directory."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location(
+        "run_sensitivity", ROOT / "scripts" / "run_sensitivity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sensitivity_rows_match_validation_sweep(tmp_path, monkeypatch):
+    load_sensitivity(monkeypatch).main(["--seed", "3", "--epochs", "1",
+                                        "--out", str(tmp_path)])
+    prepped, assignment = dm.split_and_preprocess(dm.gen_clusters(seed=3), 3)
+    config = tr.RunConfig(seed=3, epochs=1, **PAPER)
+    lam = tr.run_validation_sweep(prepped, config, assignment, "lam",
+                                  (0.0, 0.05, 0.1, 0.25, 0.5, 1.0))
+    sparsity = tr.run_validation_sweep(prepped, config, assignment,
+                                       "sparsity_rate",
+                                       (0.5, 0.6, 0.7, 0.8, 0.9))
+    lines = (tmp_path / "lambda_sweep.csv").read_text().split("\n")
+    assert lines[0].startswith("lambda,accuracy,")
+    assert table(tmp_path / "lambda_sweep.csv") == as_written(
+        {"lambda": r.pop("lam"), **r} for r in lam)
+    assert table(tmp_path / "sparsity_sweep.csv") == as_written(sparsity)
+
+
+def test_sensitivity_columns_are_every_rows_keys(tmp_path, monkeypatch):
+    # a metric only a later row has gets a column, and earlier rows an
+    # empty field there
+    script = load_sensitivity(monkeypatch)
+    monkeypatch.setattr(script.tr, "run_validation_sweep",
+                        lambda ds, config, assignment, field, values: [
+                            {field: 0.0, "macro_f1": 0.5},
+                            {field: 1.0, "macro_f1": 0.25, "extra": 7}])
+    script.main(["--epochs", "1", "--out", str(tmp_path)])
+    assert (tmp_path / "sparsity_sweep.csv").read_bytes() == (
+        b"sparsity_rate,macro_f1,extra\r\n0.0,0.5,\r\n1.0,0.25,7\r\n")
